@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .graphs import CapExceeded, Digraph, bits
@@ -27,6 +28,8 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
+_TOKEN = re.compile(r"\S+")
+
 
 class GraphParseError(ValueError):
     def __init__(self, message, line, column=1):
@@ -42,11 +45,12 @@ def parse_graph_text(text: str) -> Digraph:
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
+        # (token, 1-based column) for each whitespace-separated token
+        spans = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+        if not spans:
             continue
-        keyword = tokens[0]
-        col = line.index(keyword) + 1
+        keyword, col = spans[0]
+        tokens = [tok for tok, _ in spans]
         if keyword == "vertex":
             if len(tokens) != 2:
                 raise GraphParseError("vertex takes exactly one name",
@@ -60,10 +64,10 @@ def parse_graph_text(text: str) -> Digraph:
             if len(tokens) != 3:
                 raise GraphParseError("edge takes a source and a range",
                                       lineno, col)
-            for name in tokens[1:]:
+            for name, name_col in spans[1:]:
                 if name not in index:
                     raise GraphParseError(f"unknown vertex {name!r}",
-                                          lineno, line.index(name, col) + 1)
+                                          lineno, name_col)
             edges.append((index[tokens[1]], index[tokens[2]]))
         else:
             raise GraphParseError(f"unknown directive {keyword!r}", lineno, col)
@@ -266,7 +270,7 @@ def cmd_oracle(args) -> int:
     table = _oracle.build_semigroup(graph, element_cap=args.oracle_cap)
     bad = _oracle.associativity_violations(table, seed=args.seed)
     report = _oracle.verify_isomorphism(graph, element_cap=args.oracle_cap,
-                                        lattice_cap=args.cap)
+                                        lattice_cap=args.cap, table=table)
     failures = list(report.failures)
     if bad:
         failures.insert(0, f"{len(bad)} associativity violations")

@@ -45,7 +45,8 @@ class Digraph:
     """
 
     __slots__ = ("names", "n", "edges", "m", "full", "out_edges", "reach",
-                 "_index", "_cycles", "_cycle_sources", "_hereditary", "_hash")
+                 "_index", "_cycles", "_cycle_sources", "_hereditary", "_forked",
+                 "_hash")
 
     def __init__(self, names, edges):
         names = tuple(str(x) for x in names)
@@ -69,6 +70,7 @@ class Digraph:
         object.__setattr__(self, "_cycles", None)
         object.__setattr__(self, "_cycle_sources", None)
         object.__setattr__(self, "_hereditary", None)
+        object.__setattr__(self, "_forked", None)
         object.__setattr__(self, "_hash", hash((names, pairs)))
 
     def __setattr__(self, name, value):
@@ -232,18 +234,25 @@ class Digraph:
             self._set("_cycles", tuple(found))
         return list(self._cycles)
 
+    def _cycle_tuple(self):
+        # the cached cycles, without the copy cycles() hands its callers
+        if self._cycles is None:
+            self.cycles()
+        return self._cycles
+
     def cycle_sources(self, cycle) -> int:
         """Bitmask of the sources of a canonical cycle."""
-        self.cycles()
+        self._cycle_tuple()
         return self._cycle_sources[tuple(cycle)]
 
     def cycles_in(self, H: int):
         """All canonical cycles whose edge sources all lie in H."""
-        self.cycles()
-        return [c for c in self._cycles if self._cycle_sources[c] & ~H == 0]
+        cycles = self._cycle_tuple()
+        sources = self._cycle_sources
+        return [c for c in cycles if sources[c] & ~H == 0]
 
     def is_acyclic(self) -> bool:
-        return not self.cycles()
+        return not self._cycle_tuple()
 
     def has_parallel_edges(self) -> bool:
         return len(set(self.edges)) < self.m
@@ -273,6 +282,11 @@ class Digraph:
     def forked_vertices(self) -> int:
         """Vertices with two out-edges whose ranges are inaccessible from the
         ranges of every other co-initial edge, as a bitmask."""
+        if self._forked is None:
+            self._set("_forked", self._find_forked())
+        return self._forked
+
+    def _find_forked(self) -> int:
         forked = 0
         reach = self.reach
         for v in range(self.n):

@@ -11,37 +11,53 @@ from .graphs import CapExceeded, Digraph, bits
 from . import triples
 from .triples import WangTriple
 
-DEFAULT_LATTICE_CAP = 10 ** 6
+# Every element keeps an n-bit row in each of up, down, cover_up and
+# cover_dn, so memory grows as n squared; see CHANGES.md for the measurement
+# behind this value.
+DEFAULT_LATTICE_CAP = 40_000
 
 
 class FiniteLattice:
     """A finite lattice given by its order relation over elements 0..n-1.
 
-    up[i] and down[i] are reflexive bitmask rows of the order; covers are
-    the transitive reduction.  Joins and meets are resolved through the
-    order matrix and cached.
+    up[i] and down[i] are reflexive bitmask rows of the order, and
+    cover_up[i] and cover_dn[i] its upper and lower covers.  up_rows must be
+    a partial order; the covers are its transitive reduction unless given.
+    down is closed from the lower covers.  Joins and meets are cached per
+    unordered pair, and resolved through the order unless a subclass
+    overrides _join and _meet.
     """
 
-    def __init__(self, up_rows):
+    def __init__(self, up_rows, cover_up=None):
         self.n = n = len(up_rows)
-        self.up = list(up_rows)
-        down = [0] * n
+        self.up = up = list(up_rows)
         for i in range(n):
-            if not self.up[i] >> i & 1:
+            if not up[i] >> i & 1:
                 raise ValueError("order must be reflexive")
-            for j in bits(self.up[i]):
-                down[j] |= 1 << i
-        self.down = down
-        self.cover_up = [0] * n
-        self.cover_dn = [0] * n
+        if cover_up is None:
+            # j covers i iff nothing strictly above i lies strictly below j
+            cover_up = []
+            for i in range(n):
+                strict = up[i] & ~(1 << i)
+                above = 0
+                for k in bits(strict):
+                    above |= up[k] & ~(1 << k)
+                cover_up.append(strict & ~above)
+        self.cover_up = list(cover_up)
+        self.cover_dn = cover_dn = [0] * n
         for i in range(n):
-            strict = self.up[i] & ~(1 << i)
-            for j in bits(strict):
-                if self.up[i] & self.down[j] & ~(1 << i) & ~(1 << j) == 0:
-                    self.cover_up[i] |= 1 << j
-                    self.cover_dn[j] |= 1 << i
-        bottoms = [i for i in range(n) if self.up[i].bit_count() == n]
-        tops = [i for i in range(n) if self.down[i].bit_count() == n]
+            for j in bits(cover_up[i]):
+                cover_dn[j] |= 1 << i
+        # an element has more elements above it than any element strictly
+        # above it, so this order visits each element after its lower covers
+        self.down = down = [0] * n
+        for j in sorted(range(n), key=lambda i: -up[i].bit_count()):
+            row = 1 << j
+            for i in bits(cover_dn[j]):
+                row |= down[i]
+            down[j] = row
+        bottoms = [i for i in range(n) if up[i].bit_count() == n]
+        tops = [i for i in range(n) if down[i].bit_count() == n]
         if len(bottoms) != 1 or len(tops) != 1:
             raise ValueError("order has no unique bottom and top")
         self.bottom = bottoms[0]
@@ -88,22 +104,45 @@ class FiniteLattice:
         key = (i, j) if i <= j else (j, i)
         got = self._joins.get(key)
         if got is None:
-            got = self._joins[key] = self._bound(self.up[i] & self.up[j], self.up)
+            got = self._joins[key] = self._join(*key)
         return got
 
     def meet_idx(self, i, j) -> int:
         key = (i, j) if i <= j else (j, i)
         got = self._meets.get(key)
         if got is None:
-            got = self._meets[key] = self._bound(self.down[i] & self.down[j], self.down)
+            got = self._meets[key] = self._meet(*key)
         return got
+
+    def join_idx_order(self, i, j) -> int:
+        return self._bound(self.up[i] & self.up[j], self.up)
+
+    def meet_idx_order(self, i, j) -> int:
+        return self._bound(self.down[i] & self.down[j], self.down)
+
+    _join = join_idx_order
+    _meet = meet_idx_order
 
     def atoms_idx(self):
         return list(bits(self.cover_up[self.bottom]))
 
 
+def eligible_sets(graph: Digraph):
+    """Each hereditary set H with the vertices W may draw from: those
+    outside H keeping exactly one out-edge once H is removed."""
+    return [(H, [v for v in range(graph.n)
+                 if not H >> v & 1 and graph.out_degree_minus(v, H) == 1])
+            for H in graph.hereditary_sets()]
+
+
 class ConLattice(FiniteLattice):
     """The congruence lattice of an acyclic graph as explicit Wang triples.
+
+    elements must be the whole lattice, Σ_H 2^|eligible(H)| triples, since
+    the order is closed from the covers.  In an acyclic graph H u W
+    determines the triple, and t2 covers t1 exactly when t1 <= t2 and
+    H2 u W2 adds one vertex to H1 u W1; so each element's upper covers are
+    found by looking up its union plus each missing vertex.
 
     Joins and meets delegate to the triple calculus; join_idx_order and
     meet_idx_order resolve them through the order matrix instead, as a
@@ -115,77 +154,60 @@ class ConLattice(FiniteLattice):
             raise ValueError("graph has cycles; its congruence lattice is infinite")
         elements = sorted(set(elements),
                           key=lambda t: ((t.H | t.W).bit_count(), t.H | t.W, t.H))
+        if any(t.graph != graph for t in elements):
+            raise ValueError("an element lives on another graph")
+        size = sum(1 << len(elig) for _, elig in eligible_sets(graph))
+        if len(elements) != size:
+            raise ValueError(f"{len(elements)} distinct elements given; "
+                             f"the lattice has {size}")
         self.graph = graph
         self.elements = elements
         self.index = {t: i for i, t in enumerate(elements)}
         n = len(elements)
-        hw = [(t.H, t.W) for t in elements]
+        by_union = {t.H | t.W: i for i, t in enumerate(elements)}
         up = [0] * n
-        for i, (h1, w1) in enumerate(hw):
-            row = 0
-            for j, (h2, w2) in enumerate(hw):
-                if h1 & ~h2 == 0 and (w1 & ~h2) & ~w2 == 0:
-                    row |= 1 << j
-            up[i] = row
-        super().__init__(up)
-        # acyclic cover rule: the union H u W grows by exactly one vertex
-        self.cover_up = [0] * n
-        self.cover_dn = [0] * n
-        for i, (h1, w1) in enumerate(hw):
+        cover_up = [0] * n
+        # larger unions come later, so every cover's row is already closed
+        for i in range(n - 1, -1, -1):
+            h1, w1 = elements[i].H, elements[i].W
             u1 = h1 | w1
-            for j in bits(self.up[i] & ~(1 << i)):
-                u2 = hw[j][0] | hw[j][1]
-                if (u2 & ~u1).bit_count() == 1:
-                    self.cover_up[i] |= 1 << j
-                    self.cover_dn[j] |= 1 << i
+            covers = 0
+            row = 1 << i
+            for v in bits(graph.full & ~u1):
+                j = by_union.get(u1 | 1 << v)
+                if j is not None:
+                    h2 = elements[j].H
+                    if h1 & ~h2 == 0 and w1 & ~h2 & ~elements[j].W == 0:
+                        covers |= 1 << j
+                        row |= up[j]
+            cover_up[i] = covers
+            up[i] = row
+        super().__init__(up, cover_up)
 
-    def join_idx(self, i, j) -> int:
-        key = (i, j) if i <= j else (j, i)
-        got = self._joins.get(key)
-        if got is None:
-            t = triples.join(self.elements[i], self.elements[j])
-            try:
-                got = self.index[t]
-            except KeyError:
-                raise ValueError("join left the element list") from None
-            self._joins[key] = got
-        return got
+    def _lookup(self, t, what) -> int:
+        try:
+            return self.index[t]
+        except KeyError:
+            raise ValueError(f"{what} left the element list") from None
 
-    def meet_idx(self, i, j) -> int:
-        key = (i, j) if i <= j else (j, i)
-        got = self._meets.get(key)
-        if got is None:
-            t = triples.meet(self.elements[i], self.elements[j])
-            try:
-                got = self.index[t]
-            except KeyError:
-                raise ValueError("meet left the element list") from None
-            self._meets[key] = got
-        return got
+    def _join(self, i, j) -> int:
+        return self._lookup(triples.join(self.elements[i], self.elements[j]), "join")
 
-    def join_idx_order(self, i, j) -> int:
-        return self._bound(self.up[i] & self.up[j], self.up)
-
-    def meet_idx_order(self, i, j) -> int:
-        return self._bound(self.down[i] & self.down[j], self.down)
+    def _meet(self, i, j) -> int:
+        return self._lookup(triples.meet(self.elements[i], self.elements[j]), "meet")
 
 
 def enumerate_lattice(graph: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> ConLattice:
     """All Wang triples of a finite acyclic graph, as an explicit lattice."""
     if not graph.is_acyclic():
         raise ValueError("graph has cycles; its congruence lattice is infinite")
-    hsets = graph.hereditary_sets()
-    eligible = []
-    total = 0
-    for H in hsets:
-        elig = [v for v in range(graph.n)
-                if not H >> v & 1 and graph.out_degree_minus(v, H) == 1]
-        eligible.append(elig)
-        total += 1 << len(elig)
-        if total > cap:
-            raise CapExceeded(f"lattice would exceed {cap} elements")
+    eligible = eligible_sets(graph)
+    total = sum(1 << len(elig) for _, elig in eligible)
+    if total > cap:
+        raise CapExceeded(f"lattice would have {total} elements, "
+                          f"more than the cap of {cap}")
     elements = []
-    for H, elig in zip(hsets, eligible):
+    for H, elig in eligible:
         for pick in range(1 << len(elig)):
             W = 0
             for k in range(len(elig)):
@@ -196,57 +218,78 @@ def enumerate_lattice(graph: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> ConLatt
 
 
 # -- lattice-level property checks ------------------------------------------
+#
+# Each law is decided on the cover relation alone.  The brute-force checks
+# over all pairs and triples of elements live in the tests, as oracles.
+
+
+def _cover_pairs(rows):
+    """Every pair of distinct members of one row, over all rows."""
+    for row in rows:
+        members = list(bits(row))
+        for k, a in enumerate(members):
+            for b in members[k + 1:]:
+                yield a, b
 
 
 def is_upper_semimodular(lat: FiniteLattice) -> bool:
-    """Whenever the meet of a and b is covered by both, the join covers both."""
-    for a in range(lat.n):
-        for b in range(a + 1, lat.n):
-            m = lat.meet_idx(a, b)
-            if lat.is_cover(m, a) and lat.is_cover(m, b):
-                j = lat.join_idx(a, b)
-                if not (lat.is_cover(a, j) and lat.is_cover(b, j)):
-                    return False
-    return True
+    """Whenever the meet of a and b is covered by both, the join covers both.
+
+    Two distinct upper covers a, b of an element c are incomparable, so
+    c <= a ^ b < a forces a ^ b = c: these are exactly the pairs the law
+    constrains.  An element covering both a and b lies above a v b > a, so
+    it is a v b; the law therefore holds iff every two upper covers of a
+    common element have a common upper cover.
+    """
+    cover_up = lat.cover_up
+    return all(cover_up[a] & cover_up[b] for a, b in _cover_pairs(cover_up))
 
 
 def is_lower_semimodular(lat: FiniteLattice) -> bool:
-    """Whenever a and b are covered by their join, both cover the meet."""
-    for a in range(lat.n):
-        for b in range(a + 1, lat.n):
-            j = lat.join_idx(a, b)
-            if lat.is_cover(a, j) and lat.is_cover(b, j):
-                m = lat.meet_idx(a, b)
-                if not (lat.is_cover(m, a) and lat.is_cover(m, b)):
-                    return False
-    return True
+    """Whenever a and b are covered by their join, both cover the meet.
+
+    The dual of is_upper_semimodular: the law holds iff every two lower
+    covers of a common element have a common lower cover.
+    """
+    cover_dn = lat.cover_dn
+    return all(cover_dn[a] & cover_dn[b] for a, b in _cover_pairs(cover_dn))
 
 
 def is_modular(lat: FiniteLattice) -> bool:
-    """The modular law over all triples: a <= c forces (a v b) ^ c = a v (b ^ c)."""
-    for a in range(lat.n):
-        for c in bits(lat.up[a]):
-            for b in range(lat.n):
-                if lat.meet_idx(lat.join_idx(a, b), c) != \
-                        lat.join_idx(a, lat.meet_idx(b, c)):
-                    return False
-    return True
+    """The modular law: a <= c forces (a v b) ^ c = a v (b ^ c).
+
+    A lattice of finite length is modular iff it is both upper and lower
+    semimodular (Birkhoff, Lattice Theory, ch. II).
+    """
+    return is_upper_semimodular(lat) and is_lower_semimodular(lat)
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
-    """Both distributive laws over all triples."""
-    for a in range(lat.n):
-        for b in range(lat.n):
-            ab_meet = lat.meet_idx(a, b)
-            ab_join = lat.join_idx(a, b)
-            for c in range(lat.n):
-                if lat.meet_idx(a, lat.join_idx(b, c)) != \
-                        lat.join_idx(ab_meet, lat.meet_idx(a, c)):
-                    return False
-                if lat.join_idx(a, lat.meet_idx(b, c)) != \
-                        lat.meet_idx(ab_join, lat.join_idx(a, c)):
-                    return False
-    return True
+    """Both distributive laws.
+
+    A finite lattice is distributive iff it is modular and has as many
+    join-irreducible elements (those with one lower cover) as its length.
+    Each step x < y of a maximal chain has a join-irreducible below y and
+    not below x, so there are at least as many as the length, and exactly
+    as many in a distributive lattice by Birkhoff's representation theorem.
+    With equality each step has exactly one, so for x <= y there are
+    h(y) - h(x) join-irreducibles below y and not below x, h being the
+    height.  A diamond o < a, b, c < i would then hold disjoint sets of
+    h(b) - h(o) and h(c) - h(o) of them below i and not below a, while
+    modularity gives h(i) - h(a) = h(b) - h(o); so c = o, which is absurd,
+    and a modular lattice without a diamond is distributive.  All maximal
+    chains of a modular lattice have one length, so any of them measures it.
+    """
+    if not is_modular(lat):
+        return False
+    irreducible = sum(1 for row in lat.cover_dn if row.bit_count() == 1)
+    length = 0
+    at = lat.bottom
+    while at != lat.top:
+        row = lat.cover_up[at]
+        at = (row & -row).bit_length() - 1
+        length += 1
+    return irreducible == length
 
 
 def find_pentagon(lat: FiniteLattice):
@@ -287,18 +330,15 @@ def find_diamond(lat: FiniteLattice):
 
 
 def is_atomistic_lattice(lat: FiniteLattice) -> bool:
-    """Is every element a finite join of atoms?  The bottom is the empty join."""
-    closed = {lat.bottom}
-    frontier = list(lat.atoms_idx())
-    closed.update(frontier)
-    while frontier:
-        a = frontier.pop()
-        for b in list(closed):
-            j = lat.join_idx(a, b)
-            if j not in closed:
-                closed.add(j)
-                frontier.append(j)
-    return len(closed) == lat.n
+    """Is every element a finite join of atoms?  The bottom is the empty join.
+
+    Every element is the join of the join-irreducibles below it, and a
+    join-irreducible element that is a join of atoms is one of them; so the
+    lattice is atomistic iff each element with one lower cover covers the
+    bottom.
+    """
+    bottom = 1 << lat.bottom
+    return all(row == bottom for row in lat.cover_dn if row.bit_count() == 1)
 
 
 # -- graph-level predicates (valid for cyclic graphs too) --------------------

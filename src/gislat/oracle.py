@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .graphs import CapExceeded, Digraph
 from . import triples as _triples
-from .lattice import enumerate_lattice
+from .lattice import DEFAULT_LATTICE_CAP, enumerate_lattice
 
 DEFAULT_ELEMENT_CAP = 300
 DEFAULT_CONGRUENCE_CAP = 20000
@@ -270,10 +270,13 @@ class IsoReport:
 def verify_isomorphism(graph: Digraph,
                        element_cap: int = DEFAULT_ELEMENT_CAP,
                        congruence_cap: int = DEFAULT_CONGRUENCE_CAP,
-                       lattice_cap: int = 10 ** 6) -> IsoReport:
+                       lattice_cap: int = DEFAULT_LATTICE_CAP,
+                       table: MulTable | None = None) -> IsoReport:
     """Check that triples map bijectively onto the semigroup's congruences,
-    matching order, joins, and meets; failures carry concrete witnesses."""
-    table = build_semigroup(graph, element_cap)
+    matching order, joins, and meets; failures carry concrete witnesses.
+    Pass the graph's semigroup as table to skip building it again."""
+    if table is None:
+        table = build_semigroup(graph, element_cap)
     lat = enumerate_lattice(graph, lattice_cap)
     realized = [realize_triple(t, table) for t in lat.elements]
     congs = enumerate_congruences(table, element_cap, congruence_cap)

@@ -1,0 +1,128 @@
+"""Brute-force lattice code kept as test oracles.
+
+The library builds the congruence lattice from its one-vertex covers and
+decides the lattice laws on covers alone.  These are the direct versions
+they replaced: the all-pairs order, the transitive reduction, the laws
+checked over all pairs or triples of elements, and atomisticity by closing
+the atoms under joins.  They are slow and only serve as ground truth.
+"""
+
+from gislat.graphs import bits
+from gislat.lattice import FiniteLattice
+
+
+def all_pairs_order(elements):
+    """Up rows of the H/W order on acyclic triples, comparing every pair:
+    t1 <= t2 iff H1 is inside H2 and W1 \\ H2 inside W2."""
+    hw = [(t.H, t.W) for t in elements]
+    up = []
+    for h1, w1 in hw:
+        row = 0
+        for j, (h2, w2) in enumerate(hw):
+            if h1 & ~h2 == 0 and (w1 & ~h2) & ~w2 == 0:
+                row |= 1 << j
+        up.append(row)
+    return up
+
+
+def transitive_reduction(up):
+    """Cover rows of an order given by up rows: j covers i iff nothing lies
+    strictly between them."""
+    n = len(up)
+    down = [0] * n
+    for i in range(n):
+        for j in bits(up[i]):
+            down[j] |= 1 << i
+    cover_up = [0] * n
+    for i in range(n):
+        for j in bits(up[i] & ~(1 << i)):
+            if up[i] & down[j] & ~(1 << i) & ~(1 << j) == 0:
+                cover_up[i] |= 1 << j
+    return cover_up
+
+
+def upper_semimodular(lat: FiniteLattice) -> bool:
+    """Over all pairs: whenever a ^ b is covered by a and b, a v b covers both."""
+    for a in range(lat.n):
+        for b in range(a + 1, lat.n):
+            m = lat.meet_idx(a, b)
+            if lat.is_cover(m, a) and lat.is_cover(m, b):
+                j = lat.join_idx(a, b)
+                if not (lat.is_cover(a, j) and lat.is_cover(b, j)):
+                    return False
+    return True
+
+
+def lower_semimodular(lat: FiniteLattice) -> bool:
+    """Over all pairs: whenever a v b covers a and b, both cover a ^ b."""
+    for a in range(lat.n):
+        for b in range(a + 1, lat.n):
+            j = lat.join_idx(a, b)
+            if lat.is_cover(a, j) and lat.is_cover(b, j):
+                m = lat.meet_idx(a, b)
+                if not (lat.is_cover(m, a) and lat.is_cover(m, b)):
+                    return False
+    return True
+
+
+def modular(lat: FiniteLattice) -> bool:
+    """The modular law over all triples: a <= c forces (a v b) ^ c = a v (b ^ c)."""
+    for a in range(lat.n):
+        for c in bits(lat.up[a]):
+            for b in range(lat.n):
+                if lat.meet_idx(lat.join_idx(a, b), c) != \
+                        lat.join_idx(a, lat.meet_idx(b, c)):
+                    return False
+    return True
+
+
+def distributive(lat: FiniteLattice) -> bool:
+    """Both distributive laws over all triples."""
+    for a in range(lat.n):
+        for b in range(lat.n):
+            ab_meet = lat.meet_idx(a, b)
+            ab_join = lat.join_idx(a, b)
+            for c in range(lat.n):
+                if lat.meet_idx(a, lat.join_idx(b, c)) != \
+                        lat.join_idx(ab_meet, lat.meet_idx(a, c)):
+                    return False
+                if lat.join_idx(a, lat.meet_idx(b, c)) != \
+                        lat.meet_idx(ab_join, lat.join_idx(a, c)):
+                    return False
+    return True
+
+
+def atomistic(lat: FiniteLattice) -> bool:
+    """Close the atoms and the bottom under joins; is that everything?"""
+    closed = {lat.bottom}
+    frontier = list(lat.atoms_idx())
+    closed.update(frontier)
+    while frontier:
+        a = frontier.pop()
+        for b in list(closed):
+            j = lat.join_idx(a, b)
+            if j not in closed:
+                closed.add(j)
+                frontier.append(j)
+    return len(closed) == lat.n
+
+
+def distributive_by_join_primes(lat: FiniteLattice) -> bool:
+    """Distributivity over all pairs, for lattices too large for the cubic
+    check: x -> {join-irreducibles below x} is injective and turns meets
+    into intersections, so the lattice is distributive iff it also turns
+    joins into unions, embedding the lattice in a power set."""
+    irreducible = sum(1 << i for i in range(lat.n)
+                      if lat.cover_dn[i].bit_count() == 1)
+    below = [row & irreducible for row in lat.down]
+    return all(below[lat.join_idx(a, b)] == below[a] | below[b]
+               for a in range(lat.n) for b in range(a + 1, lat.n))
+
+
+ORACLES = {
+    "upper_semimodular": upper_semimodular,
+    "lower_semimodular": lower_semimodular,
+    "modular": modular,
+    "distributive": distributive,
+    "atomistic": atomistic,
+}

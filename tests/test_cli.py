@@ -1,5 +1,7 @@
+import io
 import json
 import random
+from time import monotonic
 
 import pytest
 
@@ -7,8 +9,9 @@ from gislat.cli import (GraphParseError, format_graph, lattice_dot,
                         lattice_from_json, lattice_json, main,
                         parse_graph_text, triple_from_json, triple_json)
 from gislat.graphs import Digraph, build_graph
-from gislat.lattice import enumerate_lattice
+from gislat.lattice import FiniteLattice, enumerate_lattice
 
+import oracles
 from conftest import make_split_graph, make_atomistic_example
 
 SPLIT_TEXT = """\
@@ -82,6 +85,22 @@ def test_parse_errors_carry_positions():
     with pytest.raises(GraphParseError) as err:
         parse_graph_text("vertex a\nedge a\n")
     assert err.value.line == 2
+
+
+def test_parse_error_column_after_keyword(capsys, monkeypatch):
+    # the name 'e' also occurs inside the keyword 'edge'
+    with pytest.raises(GraphParseError) as err:
+        parse_graph_text("vertex x\nedge e x\n")
+    assert (err.value.line, err.value.column) == (2, 6)
+    with pytest.raises(GraphParseError) as err:
+        parse_graph_text("vertex x\n  edge x  dg\n")
+    assert (err.value.line, err.value.column) == (2, 11)
+    with pytest.raises(GraphParseError) as err:
+        parse_graph_text("vertex e\nedge e e e\n")
+    assert (err.value.line, err.value.column) == (2, 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO("vertex x\nedge e x\n"))
+    assert main(["check", "-"]) == 2
+    assert "line 2, column 6: unknown vertex 'e'" in capsys.readouterr().err
 
 
 def test_triple_json_round_trip():
@@ -185,6 +204,39 @@ def test_cmd_lattice_rejects_cycles(tmp_path, capsys):
 def test_cmd_lattice_cap(tmp_path, capsys):
     path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
     assert main(["lattice", path, "--cap", "5"]) == 3
+
+
+def test_cmd_lattice_default_cap(tmp_path, capsys):
+    # nine disjoint edges: 4**9 = 262,144 elements, refused before any is built
+    text = "".join(f"vertex a{i}\nvertex b{i}\nedge a{i} b{i}\n"
+                   for i in range(9))
+    path = write(tmp_path, "disjoint9.graph", text)
+    start = monotonic()
+    assert main(["lattice", path, "--properties"]) == 3
+    assert monotonic() - start < 10.0
+    assert "262144" in capsys.readouterr().err
+
+
+def test_cmd_lattice_chord11_properties(tmp_path, capsys):
+    names = [f"v{i}" for i in range(11)]
+    chord11 = build_graph(names, [(names[i], names[i + 1]) for i in range(10)]
+                          + [("v0", "v2")])
+    path = write(tmp_path, "chord11.graph", format_graph(chord11))
+    start = monotonic()
+    assert main(["lattice", path, "--json", "--properties"]) == 0
+    assert monotonic() - start < 10.0
+    props = json.loads(capsys.readouterr().out)["properties"]
+    assert props == {"elements": 1026, "upper_semimodular": True,
+                     "lower_semimodular": True, "modular": True,
+                     "distributive": True, "atomistic": False}
+    # the cubic modular and distributive oracles are out of reach at this
+    # size; a distributive lattice is modular
+    lat = enumerate_lattice(chord11)
+    order = FiniteLattice(oracles.all_pairs_order(lat.elements))
+    assert oracles.upper_semimodular(order)
+    assert oracles.lower_semimodular(order)
+    assert oracles.distributive_by_join_primes(order)
+    assert not oracles.atomistic(order)
 
 
 def test_cmd_lattice_six_vertex_dag(tmp_path, capsys):

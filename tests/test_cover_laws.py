@@ -1,0 +1,201 @@
+"""The congruence lattice built from one-vertex covers, and the lattice laws
+decided on covers, against the brute-force oracles in oracles.py."""
+
+import random
+
+import pytest
+
+from gislat.census import acyclic_multigraphs, connected_simple_graphs
+from gislat.graphs import Digraph, bits
+from gislat.lattice import (ConLattice, FiniteLattice, eligible_sets,
+                            enumerate_lattice, is_atomistic_lattice,
+                            is_distributive, is_lower_semimodular, is_modular,
+                            is_upper_semimodular)
+from gislat.triples import WangTriple
+
+import oracles
+from conftest import make_parallel_pair, make_path3, make_split_graph
+
+LAWS = {
+    "upper_semimodular": is_upper_semimodular,
+    "lower_semimodular": is_lower_semimodular,
+    "modular": is_modular,
+    "distributive": is_distributive,
+    "atomistic": is_atomistic_lattice,
+}
+
+
+def laws(lat):
+    return {name: check(lat) for name, check in LAWS.items()}
+
+
+def oracle_laws(lat):
+    return {name: check(lat) for name, check in oracles.ORACLES.items()}
+
+
+def sweep_graphs():
+    """The criterion-02 sweep."""
+    return acyclic_multigraphs(3, 4) + [make_split_graph(), make_parallel_pair()]
+
+
+def random_dags(count, seed):
+    rnd = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rnd.randint(2, 9)
+        p = rnd.uniform(0.15, 0.5)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rnd.random() < p]
+        out.append(Digraph([f"v{i}" for i in range(n)], edges))
+    return out
+
+
+def n5():
+    # 0 < a < 1 against 0 < b < c < 1
+    return FiniteLattice.from_covers(
+        5, [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)])
+
+
+def m3():
+    return FiniteLattice.from_covers(
+        5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+
+
+def chain(k):
+    return FiniteLattice.from_covers(k, [(i, i + 1) for i in range(k - 1)])
+
+
+def product(lat1, lat2):
+    """The direct product, ordered componentwise; (a, b) has index a*m + b."""
+    m = lat2.n
+    up = []
+    for a in range(lat1.n):
+        for b in range(m):
+            row = 0
+            for a2 in bits(lat1.up[a]):
+                for b2 in bits(lat2.up[b]):
+                    row |= 1 << (a2 * m + b2)
+            up.append(row)
+    return FiniteLattice(up)
+
+
+def random_family_lattice(rnd, max_points=5):
+    """A seeded intersection-closed family of subsets of at most
+    max_points points, with the whole set added, ordered by inclusion."""
+    k = rnd.randint(1, max_points)
+    full = (1 << k) - 1
+    family = {full} | {rnd.randrange(1 << k)
+                       for _ in range(rnd.randint(0, 2 * k + 2))}
+    while True:
+        meets = {a & b for a in family for b in family}
+        if meets <= family:
+            break
+        family |= meets
+    sets = sorted(family, key=lambda s: (s.bit_count(), s))
+    up = [sum(1 << j for j, t in enumerate(sets) if s & ~t == 0) for s in sets]
+    return FiniteLattice(up)
+
+
+# -- construction --------------------------------------------------------------
+
+
+def test_up_rows_equal_all_pairs_order():
+    graphs = connected_simple_graphs(5) + sweep_graphs() + random_dags(40, 11)
+    for g in graphs:
+        lat = enumerate_lattice(g)
+        up = oracles.all_pairs_order(lat.elements)
+        assert lat.up == up, g
+        assert lat.cover_up == oracles.transitive_reduction(up), g
+        for i in range(lat.n):
+            assert lat.down[i] == sum(1 << j for j in range(lat.n)
+                                      if up[j] >> i & 1), g
+            assert lat.cover_dn[i] == sum(1 << j for j in range(lat.n)
+                                          if lat.cover_up[j] >> i & 1), g
+
+
+def test_generic_covers_and_down_rows():
+    rnd = random.Random(29)
+    for _ in range(200):
+        lat = random_family_lattice(rnd)
+        assert lat.cover_up == oracles.transitive_reduction(lat.up)
+        for i in range(lat.n):
+            assert lat.down[i] == sum(1 << j for j in range(lat.n)
+                                      if lat.up[j] >> i & 1)
+
+
+def test_conlattice_rejects_incomplete_element_list():
+    g = make_split_graph()
+    elements = enumerate_lattice(g).elements
+    size = sum(1 << len(elig) for _, elig in eligible_sets(g))
+    assert len(elements) == size == 14
+    for k in range(len(elements)):
+        with pytest.raises(ValueError):
+            ConLattice(g, elements[:k] + elements[k + 1:])
+    with pytest.raises(ValueError):
+        ConLattice(g, [])
+    other = make_path3()
+    with pytest.raises(ValueError):
+        ConLattice(g, elements[:-1] + [WangTriple(other, 0, 0)])
+
+
+def test_conlattice_ignores_order_and_repeats():
+    g = make_split_graph()
+    lat = enumerate_lattice(g)
+    shuffled = list(lat.elements) + lat.elements[:3]
+    random.Random(31).shuffle(shuffled)
+    again = ConLattice(g, shuffled)
+    assert again.elements == lat.elements
+    assert again.up == lat.up and again.cover_up == lat.cover_up
+
+
+# -- the five laws -----------------------------------------------------------------
+
+
+def test_laws_match_oracles_on_census():
+    for g in connected_simple_graphs(5):
+        lat = enumerate_lattice(g)
+        assert laws(lat) == oracle_laws(lat), g
+
+
+def test_laws_match_oracles_on_sweep():
+    for g in sweep_graphs():
+        lat = enumerate_lattice(g)
+        assert laws(lat) == oracle_laws(lat), g
+
+
+def test_laws_match_oracles_on_handmade_lattices():
+    cases = {
+        "N5": (n5(), dict(upper_semimodular=False, lower_semimodular=False,
+                          modular=False, distributive=False, atomistic=False)),
+        "M3": (m3(), dict(upper_semimodular=True, lower_semimodular=True,
+                          modular=True, distributive=False, atomistic=True)),
+        "M3x2": (product(m3(), chain(2)),
+                 dict(upper_semimodular=True, lower_semimodular=True,
+                      modular=True, distributive=False, atomistic=True)),
+        "N5x2": (product(n5(), chain(2)),
+                 dict(upper_semimodular=False, lower_semimodular=False,
+                      modular=False, distributive=False, atomistic=False)),
+    }
+    for k in range(1, 6):
+        cases[f"chain{k}"] = (chain(k), dict(
+            upper_semimodular=True, lower_semimodular=True, modular=True,
+            distributive=True, atomistic=k <= 2))
+    cases["2x2x2"] = (product(product(chain(2), chain(2)), chain(2)), dict(
+        upper_semimodular=True, lower_semimodular=True, modular=True,
+        distributive=True, atomistic=True))
+    for name, (lat, expected) in cases.items():
+        assert laws(lat) == expected, name
+        assert oracle_laws(lat) == expected, name
+
+
+def test_laws_match_oracles_on_random_set_families():
+    rnd = random.Random(37)
+    modular_only = 0
+    for _ in range(1500):
+        lat = random_family_lattice(rnd)
+        got = laws(lat)
+        assert got == oracle_laws(lat), lat.up
+        assert got["distributive"] == oracles.distributive_by_join_primes(lat)
+        modular_only += got["modular"] and not got["distributive"]
+    # the draw reaches the case that separates the two laws
+    assert modular_only > 0

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from gislat.graphs import Digraph, build_graph, canonical_rotation
+from gislat.graphs import Digraph, build_graph, canonical_rotation, mask_of
 
 from conftest import (make_split_graph, make_loop, make_parallel_pair, make_path3,
                       make_two_loop_scc, make_atomistic_example)
@@ -215,6 +215,21 @@ def test_cycles_canonical_and_monotone():
             h2 = rnd.randrange(g.full + 1)
             h1 = h2 & rnd.randrange(g.full + 1)
             assert set(g.cycles_in(h1)) <= set(g.cycles_in(h2))
+
+
+def test_cycle_queries_read_the_cache_in_any_order():
+    rnd = random.Random(43)
+    for _ in range(25):
+        g = random_graph(rnd, max_n=4, max_m=6)
+        fresh = Digraph(g.names, g.edges)
+        # queries that fill the cache themselves, before cycles() is called
+        assert fresh.is_acyclic() == (not brute_force_cycles(g))
+        assert fresh.cycles_in(fresh.full) == brute_force_cycles(g)
+        listed = fresh.cycles()
+        listed.append(("not", "a", "cycle"))
+        assert fresh.cycles() == brute_force_cycles(g)
+        for c in fresh.cycles():
+            assert fresh.cycle_sources(c) == mask_of(g.edges[e][0] for e in c)
 
 
 def test_forked_vertices(split_graph):
