@@ -173,7 +173,7 @@ def lattice_dot(lat: ConLattice) -> str:
 
 def _emit(doc, human_lines, as_json):
     if as_json:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc))
     else:
         for line in human_lines:
             print(line)

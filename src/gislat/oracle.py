@@ -68,19 +68,26 @@ def inverse(x):
 class MulTable:
     """Dense multiplication table of a finite graph inverse semigroup.
 
-    elements[0] is the zero; rows[i][j] is the index of the product, and
-    cols is the transpose (used by the congruence closure inner loop).
+    elements[0] is the zero; rows[i][j] is the index of the product.
+    generators holds the index of each vertex v, each edge e and each ghost
+    edge e*, and trans[a] lists a's translations by them: g·a for every
+    generator g, then a·g.
     """
 
     def __init__(self, graph: Digraph, elements):
         self.graph = graph
         self.elements = list(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
-        n = len(self.elements)
         idx = self.index
-        self.rows = [[idx[multiply(graph, x, y)] for y in self.elements]
-                     for x in self.elements]
-        self.cols = [list(col) for col in zip(*self.rows)]
+        self.rows = rows = [[idx[multiply(graph, x, y)] for y in self.elements]
+                            for x in self.elements]
+        gens = [idx[((v, ()), (v, ()))] for v in range(graph.n)]
+        for e, (s, r) in enumerate(graph.edges):
+            edge = ((s, (e,)), (r, ()))
+            gens += [idx[edge], idx[inverse(edge)]]
+        self.generators = gens
+        self.trans = [[rows[g][a] for g in gens] + [rows[a][g] for g in gens]
+                      for a in range(len(self.elements))]
 
     def __len__(self):
         return len(self.elements)
@@ -113,104 +120,130 @@ def build_semigroup(graph: Digraph, element_cap: int = DEFAULT_ELEMENT_CAP) -> M
 
 def associativity_violations(table: MulTable, exhaustive_limit: int = 60,
                              samples: int = 5000, seed: int = 0):
-    """Triples violating associativity: exhaustive for small tables,
-    randomized beyond."""
+    """Triples (x, y, z) with (xy)z != x(yz), in lexicographic order:
+    exhaustive for small tables, randomized beyond.  The exhaustive check
+    compares the row of xy with x times the row of y, and lists z only
+    where the two rows differ."""
     n = len(table)
     rows = table.rows
     bad = []
     if n <= exhaustive_limit:
-        rng = range(n)
-        stream = ((x, y, z) for x in rng for y in rng for z in rng)
-    else:
-        rnd = random.Random(seed)
-        stream = ((rnd.randrange(n), rnd.randrange(n), rnd.randrange(n))
-                  for _ in range(samples))
-    for x, y, z in stream:
+        for x in range(n):
+            row_x = rows[x]
+            for y in range(n):
+                left = rows[row_x[y]]
+                right = [row_x[v] for v in rows[y]]
+                if left != right:
+                    bad.extend((x, y, z) for z in range(n)
+                               if left[z] != right[z])
+        return bad
+    rnd = random.Random(seed)
+    for _ in range(samples):
+        x, y, z = rnd.randrange(n), rnd.randrange(n), rnd.randrange(n)
         if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
             bad.append((x, y, z))
     return bad
 
 
 # -- congruences as canonical partitions ---------------------------------------
+#
+# A partition in the making is a union-find parent list in which every class
+# hangs under its least member, so parent[i] <= i throughout.
 
 
-def _canon(parent):
-    labels = [0] * len(parent)
-    seen = {}
-    for i in range(len(parent)):
-        r = i
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        labels[i] = seen.setdefault(r, len(seen))
-    return tuple(labels)
-
-
-def generated_congruence(table: MulTable, pairs):
-    """Least congruence containing the given element-index pairs: a
-    union-find worklist that re-closes under left and right translation
-    whenever two classes merge."""
-    rows = table.rows
-    cols = table.cols
-    parent = list(range(len(table)))
-    work = list(pairs)
+def _merge(parent, work, trans=None):
+    """The union-find: merge the classes of each pair popped from the work
+    list under the lesser root, halving paths on the way up.  Given trans,
+    also queue the translations of every two classes merged whose images
+    do not already share a parent."""
     while work:
         a, b = work.pop()
         while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
+            parent[a] = a = parent[parent[a]]
         while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
+            parent[b] = b = parent[parent[b]]
         if a == b:
             continue
         if a < b:
             parent[b] = a
         else:
             parent[a] = b
-        for x, y in zip(cols[a], cols[b]):
-            if x != y:
-                work.append((x, y))
-        for x, y in zip(rows[a], rows[b]):
-            if x != y:
-                work.append((x, y))
+        if trans is not None:
+            for x, y in zip(trans[a], trans[b]):
+                if parent[x] != parent[y]:
+                    work.append((x, y))
+
+
+def _canon(parent):
+    """Canonical labels of a parent list: a root, being the least member of
+    its class, is where the class first appears, and every other element
+    takes the label of its parent, which comes earlier."""
+    labels = []
+    count = 0
+    for i, p in enumerate(parent):
+        if p == i:
+            labels.append(count)
+            count += 1
+        else:
+            labels.append(labels[p])
+    return tuple(labels)
+
+
+def generated_congruence(table: MulTable, pairs):
+    """Least congruence containing the given element-index pairs: a
+    union-find worklist that, whenever two classes merge, queues their
+    translations by the generators (the vertices, edges and ghost edges).
+
+    That suffices: every nonzero element p q* is a vertex or a product
+    e1...ek fl*...f1* of generators, so a translation by it is a
+    composite of generator translations, and translation by the zero is
+    constant.  A relation closed under generator translations is
+    therefore closed under all translations."""
+    parent = list(range(len(table)))
+    _merge(parent, list(pairs), table.trans)
     return _canon(parent)
 
 
 def principal_congruences(table: MulTable):
+    """The distinct principal congruences, each mapped to the first pair
+    x < y that generates it.  A pair is skipped when the sorted pair
+    (x*, y*) comes before it: congruences of an inverse semigroup are
+    closed under inversion (if x and y share a class of a congruence, the
+    classes of x* and y* are both inverses of that class in the quotient,
+    an inverse semigroup, so they are one class), hence Cg(x*, y*) =
+    Cg(x, y) and the earlier pair stands for both."""
     n = len(table)
-    out = set()
+    inv = [table.inverse_idx(x) for x in range(n)]
+    out = {}
     for x in range(n):
+        ix = inv[x]
         for y in range(x + 1, n):
-            out.add(generated_congruence(table, [(x, y)]))
+            iy = inv[y]
+            if ((ix, iy) if ix < iy else (iy, ix)) < (x, y):
+                continue
+            out.setdefault(generated_congruence(table, [(x, y)]), (x, y))
     return out
 
 
 def partition_join(l1, l2):
-    parent = list(range(len(l1)))
-
-    def union(i, j):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        if i != j:
-            parent[max(i, j)] = min(i, j)
-
-    for labels in (l1, l2):
-        first = {}
-        for i, lab in enumerate(labels):
-            j = first.setdefault(lab, i)
-            if j != i:
-                union(i, j)
-    return _canon(parent)
+    """Least partition above two canonical label tuples, as canonical
+    labels: a union-find over the blocks of l1 (0 .. k-1) and of l2
+    (k, k+1, ...) that links the two blocks of every element.  Each class
+    then hangs under its least block of l1, so the first k parents are a
+    parent list of their own, over the blocks of l1 in order of first
+    appearance."""
+    k = max(l1, default=-1) + 1
+    parent = list(range(k + max(l2, default=-1) + 1))
+    _merge(parent, [(a, k + b) for a, b in set(zip(l1, l2))])
+    labels = _canon(parent[:k])
+    return tuple(map(labels.__getitem__, l1))
 
 
 def partition_meet(l1, l2):
-    seen = {}
-    return tuple(seen.setdefault(pair, len(seen)) for pair in zip(l1, l2))
+    """Common refinement of two label tuples, as canonical labels: the
+    distinct label pairs in order of first appearance."""
+    index = {pair: i for i, pair in enumerate(dict.fromkeys(zip(l1, l2)))}
+    return tuple(map(index.__getitem__, zip(l1, l2)))
 
 
 def refines(l1, l2) -> bool:
@@ -225,17 +258,26 @@ def refines(l1, l2) -> bool:
 def enumerate_congruences(table: MulTable,
                           element_cap: int = DEFAULT_ELEMENT_CAP,
                           congruence_cap: int = DEFAULT_CONGRUENCE_CAP):
-    """Every congruence exactly once: all principal congruences, closed
-    under join, plus the diagonal."""
+    """Every congruence exactly once, sorted: the diagonal and the principal
+    congruences, closed under joining with a principal congruence.
+
+    Every congruence of a finite semigroup is the join of the principal
+    congruences Cg(x, y) over its pairs, so a finite join of principals,
+    and P1 v ... v Pk is reached from P1 v ... v Pk-1 by one join with Pk.
+    A join with Cg(x, y) is skipped when x and y already share a block of
+    p, since then Cg(x, y) lies below p and the join is p itself."""
     n = len(table)
     if n > element_cap:
         raise CapExceeded(f"semigroup has {n} elements, cap {element_cap}")
+    principals = principal_congruences(table)
     found = {tuple(range(n))}
-    found.update(principal_congruences(table))
+    found.update(principals)
     frontier = list(found)
     while frontier:
         p = frontier.pop()
-        for q in list(found):
+        for q, (x, y) in principals.items():
+            if p[x] == p[y]:
+                continue
             j = partition_join(p, q)
             if j not in found:
                 found.add(j)

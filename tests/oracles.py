@@ -1,10 +1,12 @@
-"""Brute-force lattice code kept as test oracles.
+"""Brute-force lattice and congruence code kept as test oracles.
 
 The library builds the congruence lattice from its one-vertex covers and
 decides the lattice laws on covers alone.  These are the direct versions
 they replaced: the all-pairs order, the transitive reduction, the laws
 checked over all pairs or triples of elements, and atomisticity by closing
-the atoms under joins.  They are slow and only serve as ground truth.
+the atoms under joins.  The semigroup oracle's congruence closure and
+enumeration have their direct versions at the end.  They are slow and only
+serve as ground truth.
 """
 
 from gislat.graphs import bits
@@ -126,3 +128,82 @@ ORACLES = {
     "distributive": distributive,
     "atomistic": atomistic,
 }
+
+
+# -- congruence oracles ---------------------------------------------------------
+#
+# The library closes a congruence under translations by the generators only,
+# joins only with principal congruences, and takes one principal pair of
+# each pair of mutually inverse pairs.  These are the direct versions.
+
+
+def all_translations_closure(table, pairs, cols=None):
+    """Test oracle: the least congruence containing the pairs, closing each
+    merge of two classes under left and right translation by every element
+    of the semigroup.  cols, the transposed table, may be passed in."""
+    rows = table.rows
+    if cols is None:
+        cols = [list(col) for col in zip(*rows)]
+    parent = list(range(len(table)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    work = list(pairs)
+    while work:
+        a, b = work.pop()
+        a, b = find(a), find(b)
+        if a == b:
+            continue
+        parent[max(a, b)] = min(a, b)
+        work.extend((x, y) for x, y in zip(cols[a], cols[b]) if x != y)
+        work.extend((x, y) for x, y in zip(rows[a], rows[b]) if x != y)
+    seen = {}
+    return tuple(seen.setdefault(find(i), len(seen)) for i in range(len(table)))
+
+
+def join_partitions(l1, l2):
+    """Test oracle: the least partition above two label tuples, giving each
+    element the least index of its class by relaxing over the blocks of
+    both until nothing changes."""
+    least = list(range(len(l1)))
+    changed = True
+    while changed:
+        changed = False
+        for labels in (l1, l2):
+            low = {}
+            for i, block in enumerate(labels):
+                if least[i] < low.get(block, least[i] + 1):
+                    low[block] = least[i]
+            for i, block in enumerate(labels):
+                if least[i] != low[block]:
+                    least[i] = low[block]
+                    changed = True
+    seen = {}
+    return tuple(seen.setdefault(r, len(seen)) for r in least)
+
+
+def all_pairs_congruences(table, principals=None):
+    """Test oracle: every congruence, sorted, as the diagonal and the
+    principal congruence of every pair x < y under the all-translations
+    closure, closed under joining any two congruences found so far.
+    principals, those closures, may be passed in."""
+    n = len(table)
+    if principals is None:
+        cols = [list(col) for col in zip(*table.rows)]
+        principals = [all_translations_closure(table, [(x, y)], cols)
+                      for x in range(n) for y in range(x + 1, n)]
+    found = {tuple(range(n))}
+    found.update(principals)
+    frontier = list(found)
+    while frontier:
+        p = frontier.pop()
+        for q in list(found):
+            j = join_partitions(p, q)
+            if j not in found:
+                found.add(j)
+                frontier.append(j)
+    return sorted(found)

@@ -1,0 +1,138 @@
+"""The oracle's congruence layer against its direct versions in
+tests/oracles.py: the closure over generators against the closure over all
+translations, the enumeration by principal joins against the found x found
+join closure, and the helpers it rests on."""
+
+import random
+
+import pytest
+
+from gislat.graphs import build_graph
+from gislat.oracle import (associativity_violations, build_semigroup,
+                           enumerate_congruences, generated_congruence,
+                           partition_join, partition_meet,
+                           principal_congruences, verify_isomorphism)
+
+import oracles
+from test_acceptance import sweep_graphs
+
+
+def path(k):
+    names = [f"v{i}" for i in range(k)]
+    return build_graph(names, list(zip(names, names[1:])))
+
+
+def all_pairs(n):
+    return [(x, y) for x in range(n) for y in range(x + 1, n)]
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """The criterion-02 sweep semigroups, each with the all-translations
+    closure of every pair x < y."""
+    out = []
+    for g in sweep_graphs():
+        table = build_semigroup(g)
+        cols = [list(col) for col in zip(*table.rows)]
+        closures = [oracles.all_translations_closure(table, [pair], cols)
+                    for pair in all_pairs(len(table))]
+        out.append((table, closures))
+    return out
+
+
+def test_generators_generate(sweep):
+    for table, _ in sweep:
+        n = len(table)
+        products = set(table.generators)
+        frontier = list(products)
+        while frontier:
+            a = frontier.pop()
+            for g in table.generators:
+                for c in (table.mul(a, g), table.mul(g, a)):
+                    if c not in products:
+                        products.add(c)
+                        frontier.append(c)
+        assert products | {0} == set(range(n))
+
+
+def test_generated_congruence_matches_all_translations(sweep):
+    for table, closures in sweep:
+        for pair, expected in zip(all_pairs(len(table)), closures):
+            assert generated_congruence(table, [pair]) == expected, pair
+
+
+def test_generated_congruence_several_pairs(sweep):
+    rnd = random.Random(4)
+    for table, _ in sweep:
+        n = len(table)
+        cols = [list(col) for col in zip(*table.rows)]
+        for _ in range(20):
+            pairs = [(rnd.randrange(n), rnd.randrange(n))
+                     for _ in range(rnd.randint(0, 3))]
+            assert generated_congruence(table, pairs) == \
+                oracles.all_translations_closure(table, pairs, cols), pairs
+
+
+def test_principal_congruences_closed_under_inversion(sweep):
+    for table, closures in sweep:
+        inv = [table.inverse_idx(x) for x in range(len(table))]
+        for (x, y), labels in zip(all_pairs(len(table)), closures):
+            assert generated_congruence(table, [(inv[x], inv[y])]) == labels
+
+
+def test_principal_congruences_are_all_of_them(sweep):
+    for table, closures in sweep:
+        principals = principal_congruences(table)
+        assert set(principals) == set(closures)
+        for labels, pair in principals.items():
+            assert generated_congruence(table, [pair]) == labels
+
+
+def test_enumerate_congruences_matches_found_by_found(sweep):
+    for table, closures in sweep:
+        assert enumerate_congruences(table) == \
+            oracles.all_pairs_congruences(table, closures)
+    table = build_semigroup(path(5))
+    assert len(table) == 56
+    congs = enumerate_congruences(table)
+    assert len(congs) == 32
+    assert congs == oracles.all_pairs_congruences(table)
+
+
+def random_labels(rnd, n, blocks):
+    seen = {}
+    return tuple(seen.setdefault(rnd.randrange(blocks), len(seen))
+                 for _ in range(n))
+
+
+def test_partition_join_and_meet():
+    rnd = random.Random(7)
+    for _ in range(500):
+        n = rnd.randint(1, 12)
+        l1 = random_labels(rnd, n, rnd.randint(1, n))
+        l2 = random_labels(rnd, n, rnd.randint(1, n))
+        assert partition_join(l1, l2) == oracles.join_partitions(l1, l2)
+        meet = partition_meet(l1, l2)
+        assert meet == oracles.join_partitions(meet, meet)  # canonical
+        assert all((meet[i] == meet[j]) == (l1[i] == l1[j] and l2[i] == l2[j])
+                   for i in range(n) for j in range(n))
+
+
+def test_associativity_violations_lists_every_triple():
+    table = build_semigroup(build_graph("abc", [("a", "b"), ("b", "c")]))
+    n = len(table)
+    table.rows[3][5] = table.rows[3][5] + 1 if table.rows[3][5] < n - 1 else 0
+    rows = table.rows
+    expected = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)
+                if rows[rows[x][y]][z] != rows[x][rows[y][z]]]
+    assert expected
+    assert associativity_violations(table) == expected
+
+
+@pytest.mark.parametrize("k, size, congruences",
+                         [(6, 92, 64), (7, 141, 128)])
+def test_verify_isomorphism_longer_paths(k, size, congruences):
+    report = verify_isomorphism(path(k))
+    assert report.passed, report.failures
+    assert report.semigroup_size == size
+    assert report.lattice_size == report.congruence_count == congruences
