@@ -419,19 +419,24 @@ def minimal_generating_set(graph: Digraph):
 
 
 def generated_sublattice(lat: ConLattice, gens):
-    """Join closure of the given elements together with the bottom."""
+    """Join closure of the given elements together with the bottom.
+
+    Each element is joined with the generators only: an element of the
+    closure other than the bottom is a join g1 v ... v gk of generators,
+    reached from g1 v ... v gk-1 by one join with gk."""
     idxs = set()
     for t in gens:
         try:
             idxs.add(lat.index[t])
         except KeyError:
             raise ValueError(f"element {t!r} is not in the lattice") from None
+    generators = sorted(idxs)
     idxs.add(lat.bottom)
-    frontier = list(idxs)
+    frontier = list(generators)
     while frontier:
         a = frontier.pop()
-        for b in list(idxs):
-            j = lat.join_idx(a, b)
+        for g in generators:
+            j = lat.join_idx(a, g)
             if j not in idxs:
                 idxs.add(j)
                 frontier.append(j)

@@ -206,23 +206,97 @@ def generated_congruence(table: MulTable, pairs):
 
 def principal_congruences(table: MulTable):
     """The distinct principal congruences, each mapped to the first pair
-    x < y that generates it.  A pair is skipped when the sorted pair
-    (x*, y*) comes before it: congruences of an inverse semigroup are
-    closed under inversion (if x and y share a class of a congruence, the
-    classes of x* and y* are both inverses of that class in the quotient,
-    an inverse semigroup, so they are one class), hence Cg(x*, y*) =
-    Cg(x, y) and the earlier pair stands for both."""
+    x < y that generates it.
+
+    Each Cg(x, y) is closed from an already-closed translate rather than
+    from the diagonal.  The pairs {x, y}, x != y, are the nodes of a graph
+    with an edge to each translate {g x, g y} and {x g, y g} by a generator
+    g that is not a diagonal pair.  An iterative depth-first search closes
+    each pair after its translates (in postorder), taking as seed theta the
+    congruence with the fewest blocks among the translates already closed.
+    Pairs still on the stack, which close cycles of the graph, are never
+    seeds; with no closed translate the seed is the diagonal.  This is
+    sound:
+
+    1. A translate (s x t, s y t) lies in Cg(x, y), so Cg(s x t, s y t),
+       and with it theta, lies below Cg(x, y).
+    2. theta is a congruence, so its pairs need no translations queued:
+       the closure over generators started from theta's partition with
+       the pair (x, y) ends at the least congruence above both, which is
+       Cg(x, y) by 1.
+    3. If theta already relates x and y, then theta contains Cg(x, y) as
+       well, so the two are equal and no closure runs.
+    4. The least congruence above theta relating x and y relates every
+       x' in x's block of theta with every y' in y's, and the other way
+       round, so it depends on those two blocks only; each closure is
+       remembered under theta and the two blocks."""
     n = len(table)
-    inv = [table.inverse_idx(x) for x in range(n)]
-    out = {}
-    for x in range(n):
-        ix = inv[x]
-        for y in range(x + 1, n):
-            iy = inv[y]
-            if ((ix, iy) if ix < iy else (iy, ix)) < (x, y):
+    trans = table.trans
+    # state[x * n + y], x < y: 0 before the visit, -1 on the stack, then the
+    # index of Cg(x, y) in congs, whose entry 0 is the diagonal; roots[c]
+    # maps each element to the least member of its block of congs[c]
+    state = [0] * (n * n)
+    diagonal = tuple(range(n))
+    congs, blocks, roots = [diagonal], [n], [list(diagonal)]
+    index = {}
+    above = {}
+    stack = []
+
+    def visit(x, y):
+        state[x * n + y] = -1
+        stack.append([x, y, [a * n + b if a < b else b * n + a
+                             for a, b in zip(trans[x], trans[y]) if a != b], 0])
+
+    def close(x, y, succ):
+        """The index of Cg(x, y), closed from the best closed translate."""
+        best = 0
+        for s in succ:
+            c = state[s]
+            if c > 0 and blocks[c] < blocks[best]:
+                best = c
+        root = roots[best]
+        if root[x] == root[y]:
+            return best
+        key = (best, root[x], root[y])
+        if key not in above:
+            parent = root[:]
+            _merge(parent, [(x, y)], trans)
+            labels = _canon(parent)
+            if labels not in index:
+                index[labels] = len(congs)
+                congs.append(labels)
+                firsts = []
+                for i, label in enumerate(labels):
+                    if label == len(firsts):
+                        firsts.append(i)
+                blocks.append(len(firsts))
+                roots.append([firsts[label] for label in labels])
+            above[key] = index[labels]
+        return above[key]
+
+    for x0 in range(n):
+        for y0 in range(x0 + 1, n):
+            if state[x0 * n + y0]:
                 continue
-            out.setdefault(generated_congruence(table, [(x, y)]), (x, y))
-    return out
+            visit(x0, y0)
+            while stack:
+                frame = stack[-1]
+                x, y, succ, pos = frame
+                while pos < len(succ):
+                    s = succ[pos]
+                    pos += 1
+                    if not state[s]:
+                        frame[3] = pos
+                        visit(*divmod(s, n))
+                        break
+                else:
+                    stack.pop()
+                    state[x * n + y] = close(x, y, succ)
+    first = {}
+    for x in range(n):
+        for y in range(x + 1, n):
+            first.setdefault(state[x * n + y], (x, y))
+    return {congs[c]: pair for c, pair in first.items()}
 
 
 def partition_join(l1, l2):
@@ -316,7 +390,14 @@ def verify_isomorphism(graph: Digraph,
                        table: MulTable | None = None) -> IsoReport:
     """Check that triples map bijectively onto the semigroup's congruences,
     matching order, joins, and meets; failures carry concrete witnesses.
-    Pass the graph's semigroup as table to skip building it again."""
+    Pass the graph's semigroup as table to skip building it again.
+
+    A meet is checked without building the partition P ^ Q: with R the
+    congruence realized by the meet of the triples, R = P ^ Q iff R refines
+    both P and Q and has as many blocks as P ^ Q, the number of distinct
+    label pairs.  For R <= P and R <= Q give R <= P ^ Q, and a refinement
+    with as many blocks is the partition itself.  The refinements are read
+    off the rows the order check already computed."""
     if table is None:
         table = build_semigroup(graph, element_cap)
     lat = enumerate_lattice(graph, lattice_cap)
@@ -340,20 +421,29 @@ def verify_isomorphism(graph: Digraph,
         failures.append(f"{len(extra)} realized partitions are not congruences")
 
     n = len(lat.elements)
+    # finer[i] has bit j when realized[i] refines realized[j]
+    finer = []
     for i in range(n):
+        row = 0
         for j in range(n):
             order_t = _triples.leq(lat.elements[i], lat.elements[j])
             order_c = refines(realized[i], realized[j])
+            if order_c:
+                row |= 1 << j
             if order_t != order_c:
                 failures.append(
                     f"order mismatch at {lat.elements[i]!r} vs "
                     f"{lat.elements[j]!r}: triple {order_t}, congruence {order_c}")
+        finer.append(row)
+    blocks = [max(part) + 1 for part in realized]
     for i in range(n):
         for j in range(i, n):
             if realized[lat.join_idx(i, j)] != partition_join(realized[i], realized[j]):
                 failures.append(
                     f"join mismatch at {lat.elements[i]!r}, {lat.elements[j]!r}")
-            if realized[lat.meet_idx(i, j)] != partition_meet(realized[i], realized[j]):
+            m = lat.meet_idx(i, j)
+            if not (finer[m] >> i & 1 and finer[m] >> j & 1 and
+                    len(set(zip(realized[i], realized[j]))) == blocks[m]):
                 failures.append(
                     f"meet mismatch at {lat.elements[i]!r}, {lat.elements[j]!r}")
 

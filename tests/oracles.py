@@ -4,13 +4,15 @@ The library builds the congruence lattice from its one-vertex covers and
 decides the lattice laws on covers alone.  These are the direct versions
 they replaced: the all-pairs order, the transitive reduction, the laws
 checked over all pairs or triples of elements, and atomisticity by closing
-the atoms under joins.  The semigroup oracle's congruence closure and
-enumeration have their direct versions at the end.  They are slow and only
+the atoms under joins, and the join closure of generating sets over all
+pairs found.  The semigroup oracle's congruence closure and enumeration
+have their direct versions at the end.  They are slow and only
 serve as ground truth.
 """
 
 from gislat.graphs import bits
 from gislat.lattice import FiniteLattice
+from gislat.oracle import generated_congruence
 
 
 def all_pairs_order(elements):
@@ -121,6 +123,21 @@ def distributive_by_join_primes(lat: FiniteLattice) -> bool:
                for a in range(lat.n) for b in range(a + 1, lat.n))
 
 
+def join_closure(lat: FiniteLattice, idxs):
+    """Join closure of the given element indices and the bottom, joining
+    every new element with everything found so far."""
+    closed = set(idxs) | {lat.bottom}
+    frontier = list(closed)
+    while frontier:
+        a = frontier.pop()
+        for b in list(closed):
+            j = lat.join_idx(a, b)
+            if j not in closed:
+                closed.add(j)
+                frontier.append(j)
+    return sorted(closed)
+
+
 ORACLES = {
     "upper_semimodular": upper_semimodular,
     "lower_semimodular": lower_semimodular,
@@ -133,8 +150,9 @@ ORACLES = {
 # -- congruence oracles ---------------------------------------------------------
 #
 # The library closes a congruence under translations by the generators only,
-# joins only with principal congruences, and takes one principal pair of
-# each pair of mutually inverse pairs.  These are the direct versions.
+# joins only with principal congruences, and closes each principal
+# congruence from an already-closed translate.  These are the direct
+# versions.
 
 
 def all_translations_closure(table, pairs, cols=None):
@@ -163,6 +181,22 @@ def all_translations_closure(table, pairs, cols=None):
         work.extend((x, y) for x, y in zip(rows[a], rows[b]) if x != y)
     seen = {}
     return tuple(seen.setdefault(find(i), len(seen)) for i in range(len(table)))
+
+
+def principal_congruences_from_scratch(table):
+    """Test oracle: the distinct principal congruences, each mapped to the
+    first pair x < y that generates it, closing every pair from the
+    diagonal.  A pair is skipped when the sorted pair (x*, y*) comes first,
+    since Cg(x*, y*) = Cg(x, y) and the earlier pair stands for both."""
+    n = len(table)
+    inv = [table.inverse_idx(x) for x in range(n)]
+    out = {}
+    for x in range(n):
+        for y in range(x + 1, n):
+            if tuple(sorted((inv[x], inv[y]))) < (x, y):
+                continue
+            out.setdefault(generated_congruence(table, [(x, y)]), (x, y))
+    return out
 
 
 def join_partitions(l1, l2):

@@ -1,17 +1,19 @@
 """The oracle's congruence layer against its direct versions in
 tests/oracles.py: the closure over generators against the closure over all
-translations, the enumeration by principal joins against the found x found
-join closure, and the helpers it rests on."""
+translations, the principal congruences closed from closed translates
+against one closure per pair, the enumeration by principal joins against
+the found x found join closure, and the helpers it rests on."""
 
 import random
 
 import pytest
 
-from gislat.graphs import build_graph
+from gislat import oracle
+from gislat.graphs import CapExceeded, build_graph
 from gislat.oracle import (associativity_violations, build_semigroup,
                            enumerate_congruences, generated_congruence,
                            partition_join, partition_meet,
-                           principal_congruences, verify_isomorphism)
+                           principal_congruences, refines, verify_isomorphism)
 
 import oracles
 from test_acceptance import sweep_graphs
@@ -88,6 +90,45 @@ def test_principal_congruences_are_all_of_them(sweep):
             assert generated_congruence(table, [pair]) == labels
 
 
+def random_multigraph_tables(count, seed, max_size=150):
+    """Semigroups of seeded random acyclic multigraphs, parallel edges
+    included, with at most max_size elements."""
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rnd.randint(2, 5)
+        names = [f"v{i}" for i in range(n)]
+        edges = [(names[s], names[r]) for s in range(n) for r in range(s + 1, n)
+                 for _ in range(rnd.choice((0, 0, 1, 2)))]
+        try:
+            out.append(build_semigroup(build_graph(names, edges), max_size))
+        except CapExceeded:
+            pass
+    return out
+
+
+def test_translates_generate_smaller_principal_congruences(sweep):
+    """The lemma the principal closures rest on: Cg(g x, g y) and
+    Cg(x g, y g) refine Cg(x, y)."""
+    for table, closures in sweep:
+        n = len(table)
+        cg = dict(zip(all_pairs(n), closures))
+        for (x, y), labels in cg.items():
+            for a, b in zip(table.trans[x], table.trans[y]):
+                if a != b:
+                    assert refines(cg[min(a, b), max(a, b)], labels), (x, y)
+
+
+def test_principal_congruences_match_one_closure_per_pair(sweep):
+    tables = [table for table, _ in sweep]
+    tables += [build_semigroup(path(k)) for k in (5, 6, 7)]
+    tables += random_multigraph_tables(30, seed=3)
+    assert any(not t.graph.is_simple() and len(t) > 100 for t in tables)
+    for table in tables:
+        assert principal_congruences(table) == \
+            oracles.principal_congruences_from_scratch(table)
+
+
 def test_enumerate_congruences_matches_found_by_found(sweep):
     for table, closures in sweep:
         assert enumerate_congruences(table) == \
@@ -136,3 +177,29 @@ def test_verify_isomorphism_longer_paths(k, size, congruences):
     assert report.passed, report.failures
     assert report.semigroup_size == size
     assert report.lattice_size == report.congruence_count == congruences
+
+
+def test_verify_isomorphism_reports_wrong_joins_and_meets(monkeypatch):
+    """One wrong cached meet and one wrong cached join in the triple lattice
+    are each reported, even when the wrong meet lies below both elements
+    and the wrong join above both."""
+    real = oracle.enumerate_lattice
+    wrong = {}
+
+    def corrupted(graph, cap):
+        lat = real(graph, cap)
+        for i, j in all_pairs(lat.n):
+            meet, join = lat.meet_idx(i, j), lat.join_idx(i, j)
+            if meet not in (i, j, lat.bottom) and join != lat.top:
+                lat._meets[i, j] = lat.bottom
+                lat._joins[i, j] = lat.top
+                wrong["pair"] = lat.elements[i], lat.elements[j]
+                return lat
+        raise AssertionError("no pair to corrupt")
+
+    monkeypatch.setattr(oracle, "enumerate_lattice", corrupted)
+    report = verify_isomorphism(path(4))
+    a, b = wrong["pair"]
+    assert not report.passed
+    assert report.failures == [f"join mismatch at {a!r}, {b!r}",
+                               f"meet mismatch at {a!r}, {b!r}"]

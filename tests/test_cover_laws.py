@@ -8,9 +8,10 @@ import pytest
 from gislat.census import acyclic_multigraphs, connected_simple_graphs
 from gislat.graphs import Digraph, bits
 from gislat.lattice import (ConLattice, FiniteLattice, eligible_sets,
-                            enumerate_lattice, is_atomistic_lattice,
-                            is_distributive, is_lower_semimodular, is_modular,
-                            is_upper_semimodular)
+                            enumerate_lattice, generated_sublattice,
+                            is_atomistic_lattice, is_distributive,
+                            is_lower_semimodular, is_modular,
+                            is_upper_semimodular, minimal_generating_set)
 from gislat.triples import WangTriple
 
 import oracles
@@ -199,3 +200,25 @@ def test_laws_match_oracles_on_random_set_families():
         modular_only += got["modular"] and not got["distributive"]
     # the draw reaches the case that separates the two laws
     assert modular_only > 0
+
+
+def test_generated_sublattice_matches_join_closure():
+    """Joining with the generators only gives the found x found closure, for
+    the minimal generating sets of the census, proper subsets of them, and
+    the parallel pair, where the sinks generate only part of the lattice."""
+    rnd = random.Random(9)
+    cases = []
+    for g in connected_simple_graphs(5):
+        gens = minimal_generating_set(g)
+        cases.append((g, gens))
+        for _ in range(2):
+            if len(gens) > 1:
+                cases.append((g, rnd.sample(gens, rnd.randrange(len(gens)))))
+    pair = make_parallel_pair()
+    sinks = [WangTriple(pair, pair.vertex_set(v), 0) for v in "lr"]
+    cases += [(pair, sinks), (pair, sinks[:1])]
+    for g, gens in cases:
+        lat = enumerate_lattice(g)
+        closure = generated_sublattice(lat, gens)
+        expected = oracles.join_closure(lat, [lat.index[t] for t in gens])
+        assert closure == [lat.elements[i] for i in expected], (g, gens)
