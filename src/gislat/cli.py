@@ -141,23 +141,17 @@ def lattice_properties(lat: ConLattice) -> dict:
     }
 
 
-def triple_label(t: WangTriple) -> str:
-    g = t.graph
-    hs = "{" + ",".join(g.names[v] for v in bits(t.H)) + "}"
-    ws = "{" + ",".join(g.names[v] for v in bits(t.W)) + "}"
-    return f"({hs}, {ws})"
-
-
 def lattice_dot(lat: ConLattice) -> str:
-    # rank each element by its longest chain from the bottom
+    # rank each element by its longest chain from the bottom; covers point
+    # to larger indices, so index order visits each element after its
+    # lower covers
     depth = [0] * lat.n
-    order = sorted(range(lat.n), key=lambda i: lat.down[i].bit_count())
-    for i in order:
+    for i in range(lat.n):
         for j in bits(lat.cover_up[i]):
             depth[j] = max(depth[j], depth[i] + 1)
     lines = ["digraph conlat {", "  rankdir=BT;", "  node [shape=box];"]
     for i, t in enumerate(lat.elements):
-        lines.append(f'  n{i} [label="{triple_label(t)}"];')
+        lines.append(f'  n{i} [label="{t!r}"];')
     for i, j in lat.cover_list():
         lines.append(f"  n{i} -> n{j};")
     for d in range(max(depth) + 1 if lat.n else 0):

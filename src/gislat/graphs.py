@@ -77,6 +77,11 @@ class Digraph:
         raise AttributeError("Digraph is immutable")
 
     def _set(self, name, value):
+        """Fill one of the lazy caches (_hereditary, _cycles with
+        _cycle_sources, _forked).  Each is a function of the graph alone,
+        so threads that race to fill one compute equal values and the last
+        store wins harmlessly; _cycle_sources is stored before _cycles, so a
+        reader that sees the cycles sees their sources too."""
         object.__setattr__(self, name, value)
 
     def _reachability(self):

@@ -1,6 +1,7 @@
 import pytest
 
 from gislat.graphs import build_graph
+from gislat.lattice import FiniteLattice
 from gislat.triples import WangTriple
 
 
@@ -36,6 +37,21 @@ def make_atomistic_example():
              ("v5", "v6"), ("v6", "v9"), ("v7", "v10"), ("v8", "v11"),
              ("v9", "v10"), ("v9", "v9"), ("v10", "v9"), ("v10", "v10")]
     return build_graph(names, edges)
+
+
+def n5():
+    """The pentagon: 0 < 1 < 4 against 0 < 2 < 3 < 4."""
+    return FiniteLattice([1 << 1 | 1 << 2, 1 << 4, 1 << 3, 1 << 4, 0])
+
+
+def m3():
+    """The diamond: 0 < 1, 2, 3 < 4."""
+    return FiniteLattice([1 << 1 | 1 << 2 | 1 << 3, 1 << 4, 1 << 4, 1 << 4, 0])
+
+
+def chain(k):
+    """The k-element chain 0 < 1 < ... < k - 1."""
+    return FiniteLattice([1 << (i + 1) for i in range(k - 1)] + [0])
 
 
 def brute_force_type_congruences(g):

@@ -3,11 +3,11 @@
 The library builds the congruence lattice from its one-vertex covers and
 decides the lattice laws on covers alone.  These are the direct versions
 they replaced: the all-pairs order, the transitive reduction, the laws
-checked over all pairs or triples of elements, and atomisticity by closing
-the atoms under joins, and the join closure of generating sets over all
-pairs found.  The semigroup oracle's congruence closure and enumeration
-have their direct versions at the end.  They are slow and only
-serve as ground truth.
+checked over all pairs or triples of elements, atomisticity by closing the
+atoms under joins, the pentagon and diamond sublattice finders, and the
+join closure of generating sets over all pairs found.  The semigroup
+oracle's congruence closure and enumeration have their direct versions at
+the end.  They are slow and only serve as ground truth.
 """
 
 from gislat.graphs import bits
@@ -121,6 +121,44 @@ def distributive_by_join_primes(lat: FiniteLattice) -> bool:
     below = [row & irreducible for row in lat.down]
     return all(below[lat.join_idx(a, b)] == below[a] | below[b]
                for a in range(lat.n) for b in range(a + 1, lat.n))
+
+
+def find_pentagon(lat: FiniteLattice):
+    """Test oracle: a 5-element pentagon sublattice as indices
+    (0, a, b, c, 1) with 0 < a < b < 1 and 0 < c < 1, or None, by a cubic
+    scan.  Exists iff the lattice is not modular."""
+    for x in range(lat.n):
+        for z in bits(lat.up[x] & ~(1 << x)):
+            for y in range(lat.n):
+                a = lat.join_idx(x, lat.meet_idx(y, z))
+                b = lat.meet_idx(lat.join_idx(x, y), z)
+                if a == b:
+                    continue
+                bot = lat.meet_idx(a, y)
+                top = lat.join_idx(b, y)
+                five = {bot, a, b, y, top}
+                if len(five) == 5 and lat.meet_idx(b, y) == bot \
+                        and lat.join_idx(a, y) == top and lat.leq_idx(a, b):
+                    return (bot, a, b, y, top)
+    return None
+
+
+def find_diamond(lat: FiniteLattice):
+    """Test oracle: a 5-element diamond sublattice as indices
+    (bottom, x, y, z, top), or None, by a cubic scan.  A modular lattice
+    without one is distributive."""
+    for x in range(lat.n):
+        for y in range(x + 1, lat.n):
+            if lat.leq_idx(x, y) or lat.leq_idx(y, x):
+                continue
+            top = lat.join_idx(x, y)
+            bot = lat.meet_idx(x, y)
+            for z in range(y + 1, lat.n):
+                if lat.join_idx(x, z) == top == lat.join_idx(y, z) \
+                        and lat.meet_idx(x, z) == bot == lat.meet_idx(y, z) \
+                        and z != top and z != bot:
+                    return (bot, x, y, z, top)
+    return None
 
 
 def join_closure(lat: FiniteLattice, idxs):

@@ -232,7 +232,8 @@ def test_cmd_lattice_chord11_properties(tmp_path, capsys):
     # the cubic modular and distributive oracles are out of reach at this
     # size; a distributive lattice is modular
     lat = enumerate_lattice(chord11)
-    order = FiniteLattice(oracles.all_pairs_order(lat.elements))
+    order = FiniteLattice(oracles.transitive_reduction(
+        oracles.all_pairs_order(lat.elements)))
     assert oracles.upper_semimodular(order)
     assert oracles.lower_semimodular(order)
     assert oracles.distributive_by_join_primes(order)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from gislat.census import acyclic_multigraphs, connected_simple_graphs
+from gislat.cli import lattice_dot, lattice_json
 from gislat.graphs import Digraph, bits
 from gislat.lattice import (ConLattice, FiniteLattice, eligible_sets,
                             enumerate_lattice, generated_sublattice,
@@ -15,7 +16,8 @@ from gislat.lattice import (ConLattice, FiniteLattice, eligible_sets,
 from gislat.triples import WangTriple
 
 import oracles
-from conftest import make_parallel_pair, make_path3, make_split_graph
+from conftest import (chain, m3, make_parallel_pair, make_path3,
+                      make_split_graph, n5)
 
 LAWS = {
     "upper_semimodular": is_upper_semimodular,
@@ -51,21 +53,6 @@ def random_dags(count, seed):
     return out
 
 
-def n5():
-    # 0 < a < 1 against 0 < b < c < 1
-    return FiniteLattice.from_covers(
-        5, [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)])
-
-
-def m3():
-    return FiniteLattice.from_covers(
-        5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
-
-
-def chain(k):
-    return FiniteLattice.from_covers(k, [(i, i + 1) for i in range(k - 1)])
-
-
 def product(lat1, lat2):
     """The direct product, ordered componentwise; (a, b) has index a*m + b."""
     m = lat2.n
@@ -77,12 +64,13 @@ def product(lat1, lat2):
                 for b2 in bits(lat2.up[b]):
                     row |= 1 << (a2 * m + b2)
             up.append(row)
-    return FiniteLattice(up)
+    return FiniteLattice(oracles.transitive_reduction(up))
 
 
-def random_family_lattice(rnd, max_points=5):
-    """A seeded intersection-closed family of subsets of at most
-    max_points points, with the whole set added, ordered by inclusion."""
+def random_family_order(rnd, max_points=5):
+    """Up rows of a seeded intersection-closed family of subsets of at most
+    max_points points, with the whole set added, ordered by inclusion and
+    numbered by size."""
     k = rnd.randint(1, max_points)
     full = (1 << k) - 1
     family = {full} | {rnd.randrange(1 << k)
@@ -93,8 +81,13 @@ def random_family_lattice(rnd, max_points=5):
             break
         family |= meets
     sets = sorted(family, key=lambda s: (s.bit_count(), s))
-    up = [sum(1 << j for j, t in enumerate(sets) if s & ~t == 0) for s in sets]
-    return FiniteLattice(up)
+    return [sum(1 << j for j, t in enumerate(sets) if s & ~t == 0)
+            for s in sets]
+
+
+def random_family_lattice(rnd, max_points=5):
+    return FiniteLattice(oracles.transitive_reduction(
+        random_family_order(rnd, max_points)))
 
 
 # -- construction --------------------------------------------------------------
@@ -117,11 +110,49 @@ def test_up_rows_equal_all_pairs_order():
 def test_generic_covers_and_down_rows():
     rnd = random.Random(29)
     for _ in range(200):
-        lat = random_family_lattice(rnd)
-        assert lat.cover_up == oracles.transitive_reduction(lat.up)
+        up = random_family_order(rnd)
+        lat = FiniteLattice(oracles.transitive_reduction(up))
+        assert lat.up == up
+        assert lat.cover_up == oracles.transitive_reduction(up)
         for i in range(lat.n):
             assert lat.down[i] == sum(1 << j for j in range(lat.n)
-                                      if lat.up[j] >> i & 1)
+                                      if up[j] >> i & 1)
+            assert lat.cover_dn[i] == sum(1 << j for j in range(lat.n)
+                                          if lat.cover_up[j] >> i & 1)
+
+
+def test_constructor_rejects_covers_against_the_numbering():
+    for cover_up in ([1 << 0],                 # 0 covers itself
+                     [1 << 1, 1 << 1],         # 1 covers itself
+                     [1 << 1, 1 << 0],         # 0 and 1 cover each other
+                     [1 << 2 | 1 << 1, 1 << 0, 0],  # 0 covers 1
+                     [1 << 2, 0, 1 << 1],      # the chain 0 < 2 < 1
+                     [1 << 2, 0]):             # a cover beyond the elements
+        with pytest.raises(ValueError):
+            FiniteLattice(cover_up)
+
+
+def test_constructor_rejects_two_minimal_or_maximal_elements():
+    for cover_up in ([],
+                     [0, 0],                   # two minimal and two maximal
+                     [1 << 2, 1 << 2, 0],      # two minimal
+                     [1 << 1 | 1 << 2, 0, 0],  # two maximal
+                     [1 << 2, 1 << 3, 1 << 3, 0]):
+        with pytest.raises(ValueError):
+            FiniteLattice(cover_up)
+    lat = FiniteLattice([1 << 1 | 1 << 2, 1 << 3, 1 << 3, 0])
+    assert (lat.bottom, lat.top) == (0, 3)
+
+
+def test_order_rows_are_built_only_when_read():
+    g = make_split_graph()
+    lat = enumerate_lattice(g)
+    lattice_json(lat, properties=True)
+    lattice_dot(lat)
+    generated_sublattice(lat, minimal_generating_set(g))
+    assert "up" not in vars(lat) and "down" not in vars(lat)
+    assert lat.up == oracles.all_pairs_order(lat.elements)
+    assert "up" in vars(lat) and "down" not in vars(lat)
 
 
 def test_conlattice_rejects_incomplete_element_list():
