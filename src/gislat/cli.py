@@ -131,12 +131,14 @@ def lattice_from_json(doc: dict) -> ConLattice:
 
 
 def lattice_properties(lat: ConLattice) -> dict:
+    usm = _lattice.is_upper_semimodular(lat)
+    lsm = _lattice.is_lower_semimodular(lat)
     return {
         "elements": lat.n,
-        "upper_semimodular": _lattice.is_upper_semimodular(lat),
-        "lower_semimodular": _lattice.is_lower_semimodular(lat),
-        "modular": _lattice.is_modular(lat),
-        "distributive": _lattice.is_distributive(lat),
+        "upper_semimodular": usm,
+        "lower_semimodular": lsm,
+        "modular": usm and lsm,
+        "distributive": usm and lsm and _lattice._irreducibles_match_length(lat),
         "atomistic": _lattice.is_atomistic_lattice(lat),
     }
 

@@ -270,8 +270,11 @@ def is_distributive(lat: FiniteLattice) -> bool:
     and a modular lattice without a diamond is distributive.  All maximal
     chains of a modular lattice have one length, so any of them measures it.
     """
-    if not is_modular(lat):
-        return False
+    return is_modular(lat) and _irreducibles_match_length(lat)
+
+
+def _irreducibles_match_length(lat: FiniteLattice) -> bool:
+    """Are there as many join-irreducibles as the length?  See is_distributive."""
     irreducible = sum(1 for row in lat.cover_dn if row.bit_count() == 1)
     length = 0
     at = lat.bottom

@@ -313,22 +313,6 @@ def partition_join(l1, l2):
     return tuple(map(labels.__getitem__, l1))
 
 
-def partition_meet(l1, l2):
-    """Common refinement of two label tuples, as canonical labels: the
-    distinct label pairs in order of first appearance."""
-    index = {pair: i for i, pair in enumerate(dict.fromkeys(zip(l1, l2)))}
-    return tuple(map(index.__getitem__, zip(l1, l2)))
-
-
-def refines(l1, l2) -> bool:
-    """Does every block of l1 sit inside a block of l2 (i.e. l1 <= l2)?"""
-    image = {}
-    for a, b in zip(l1, l2):
-        if image.setdefault(a, b) != b:
-            return False
-    return True
-
-
 def enumerate_congruences(table: MulTable,
                           element_cap: int = DEFAULT_ELEMENT_CAP,
                           congruence_cap: int = DEFAULT_CONGRUENCE_CAP):
@@ -392,12 +376,15 @@ def verify_isomorphism(graph: Digraph,
     matching order, joins, and meets; failures carry concrete witnesses.
     Pass the graph's semigroup as table to skip building it again.
 
-    A meet is checked without building the partition P ^ Q: with R the
-    congruence realized by the meet of the triples, R = P ^ Q iff R refines
-    both P and Q and has as many blocks as P ^ Q, the number of distinct
-    label pairs.  For R <= P and R <= Q give R <= P ^ Q, and a refinement
-    with as many blocks is the partition itself.  The refinements are read
-    off the rows the order check already computed."""
+    Each pair P, Q of realized partitions is compared through one set, the
+    distinct label pairs of its elements; with b(X) the number of blocks of
+    X, b(P ^ Q) is their count.  A refinement or coarsening of X with b(X)
+    blocks is X, so: P <= Q iff b(P ^ Q) = b(P), as P ^ Q refines P and is
+    P when P <= Q; R = P ^ Q iff R refines P and Q, hence P ^ Q, and
+    b(R) = b(P ^ Q); R = P v Q iff R lies above P and Q, hence above P v Q,
+    and b(R) = b(P v Q).  Two elements share a block of P v Q iff a chain of
+    shared P- or Q-blocks links them, so b(P v Q) counts the components of
+    the bipartite graph on the blocks of P and Q with an edge per pair."""
     if table is None:
         table = build_semigroup(graph, element_cap)
     lat = enumerate_lattice(graph, lattice_cap)
@@ -421,29 +408,36 @@ def verify_isomorphism(graph: Digraph,
         failures.append(f"{len(extra)} realized partitions are not congruences")
 
     n = len(lat.elements)
-    # finer[i] has bit j when realized[i] refines realized[j]
-    finer = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            order_t = _triples.leq(lat.elements[i], lat.elements[j])
-            order_c = refines(realized[i], realized[j])
-            if order_c:
-                row |= 1 << j
-            if order_t != order_c:
-                failures.append(
-                    f"order mismatch at {lat.elements[i]!r} vs "
-                    f"{lat.elements[j]!r}: triple {order_t}, congruence {order_c}")
-        finer.append(row)
     blocks = [max(part) + 1 for part in realized]
+    # finer[i] has bit j when realized[i] refines realized[j]
+    finer = [0] * n
+    counts = []
     for i in range(n):
         for j in range(i, n):
-            if realized[lat.join_idx(i, j)] != partition_join(realized[i], realized[j]):
+            pairs = set(zip(realized[i], realized[j]))
+            for a, b in ((i, j), (j, i)) if i < j else ((i, i),):
+                order_t = _triples.leq(lat.elements[a], lat.elements[b])
+                order_c = len(pairs) == blocks[a]
+                if order_c:
+                    finer[a] |= 1 << b
+                if order_t != order_c:
+                    failures.append(
+                        f"order mismatch at {lat.elements[a]!r} vs "
+                        f"{lat.elements[b]!r}: triple {order_t}, congruence {order_c}")
+            parent = list(range(blocks[i] + blocks[j]))
+            _merge(parent, [(x, blocks[i] + y) for x, y in pairs])
+            counts += len(pairs), sum(x == r for x, r in enumerate(parent))
+    counts = iter(counts)
+    for i in range(n):
+        for j in range(i, n):
+            meet_blocks, join_blocks = next(counts), next(counts)
+            r = lat.join_idx(i, j)
+            if not ((finer[i] & finer[j]) >> r & 1 and blocks[r] == join_blocks):
                 failures.append(
                     f"join mismatch at {lat.elements[i]!r}, {lat.elements[j]!r}")
             m = lat.meet_idx(i, j)
             if not (finer[m] >> i & 1 and finer[m] >> j & 1 and
-                    len(set(zip(realized[i], realized[j]))) == blocks[m]):
+                    blocks[m] == meet_blocks):
                 failures.append(
                     f"meet mismatch at {lat.elements[i]!r}, {lat.elements[j]!r}")
 

@@ -206,7 +206,7 @@ def join(t1: WangTriple, t2: WangTriple) -> WangTriple:
     H = h12 | j
     W = ww & ~H
     f = {}
-    for c in set(_support_cycles(t1, t2, H | W)):
+    for c in _support_cycles(t1, t2, H | W):
         f[c] = ext_gcd(t1.value(c), t2.value(c))
     return WangTriple(g, H, W, f)
 
@@ -219,7 +219,7 @@ def meet(t1: WangTriple, t2: WangTriple) -> WangTriple:
     H = t1.H & t2.H
     W = (t1.W & t2.H) | (t2.W & t1.H) | ((t1.W & t2.W) & ~v0)
     f = {}
-    for c in set(_support_cycles(t1, t2, H | W)):
+    for c in _support_cycles(t1, t2, H | W):
         f[c] = ext_lcm(t1.value(c), t2.value(c))
     return WangTriple(g, H, W, f)
 
@@ -233,7 +233,7 @@ def meet_no_fork(t1: WangTriple, t2: WangTriple) -> WangTriple:
     H = t1.H & t2.H
     W = (t1.W & t2.H) | (t2.W & t1.H) | (t1.W & t2.W)
     f = {}
-    for c in set(_support_cycles(t1, t2, H | W)):
+    for c in _support_cycles(t1, t2, H | W):
         f[c] = ext_lcm(t1.value(c), t2.value(c))
     return WangTriple(g, H, W, f)
 

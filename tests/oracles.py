@@ -7,7 +7,9 @@ checked over all pairs or triples of elements, atomisticity by closing the
 atoms under joins, the pentagon and diamond sublattice finders, and the
 join closure of generating sets over all pairs found.  The semigroup
 oracle's congruence closure and enumeration have their direct versions at
-the end.  They are slow and only serve as ground truth.
+the end, with the partition meet and refinement test that the isomorphism
+check replaced by block counts.  They are slow and only serve as ground
+truth.
 """
 
 from gislat.graphs import bits
@@ -256,6 +258,23 @@ def join_partitions(l1, l2):
                     changed = True
     seen = {}
     return tuple(seen.setdefault(r, len(seen)) for r in least)
+
+
+def partition_meet(l1, l2):
+    """Test oracle: the common refinement of two label tuples, as canonical
+    labels: the distinct label pairs in order of first appearance."""
+    index = {pair: i for i, pair in enumerate(dict.fromkeys(zip(l1, l2)))}
+    return tuple(map(index.__getitem__, zip(l1, l2)))
+
+
+def refines(l1, l2) -> bool:
+    """Test oracle: does every block of l1 sit inside a block of l2
+    (i.e. l1 <= l2)?"""
+    image = {}
+    for a, b in zip(l1, l2):
+        if image.setdefault(a, b) != b:
+            return False
+    return True
 
 
 def all_pairs_congruences(table, principals=None):

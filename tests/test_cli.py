@@ -5,9 +5,10 @@ from time import monotonic
 
 import pytest
 
+from gislat import lattice
 from gislat.cli import (GraphParseError, format_graph, lattice_dot,
-                        lattice_from_json, lattice_json, main,
-                        parse_graph_text, triple_from_json, triple_json)
+                        lattice_from_json, lattice_json, lattice_properties,
+                        main, parse_graph_text, triple_from_json, triple_json)
 from gislat.graphs import Digraph, build_graph
 from gislat.lattice import FiniteLattice, enumerate_lattice
 
@@ -193,6 +194,29 @@ def test_cmd_lattice_check_properties_agree(tmp_path, capsys):
     lattice_doc = json.loads(capsys.readouterr().out)
     assert (check_doc["lower_semimodular"]
             == lattice_doc["properties"]["lower_semimodular"])
+
+
+def test_lattice_properties_decides_each_semimodularity_once(monkeypatch):
+    """lattice_properties runs each semimodularity check once and agrees
+    with the library's modular and distributive checks."""
+    calls = []
+
+    def counted(name):
+        real = getattr(lattice, name)
+        return lambda lat: calls.append(name) or real(lat)
+
+    for name in ("is_upper_semimodular", "is_lower_semimodular"):
+        monkeypatch.setattr(lattice, name, counted(name))
+    four_chain = build_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    diamond = build_graph("abcd", [("a", "b"), ("a", "c"), ("b", "d"),
+                                   ("c", "d")])
+    for g in (make_split_graph(), four_chain, diamond):
+        lat = enumerate_lattice(g)
+        props = lattice_properties(lat)
+        assert sorted(calls) == ["is_lower_semimodular", "is_upper_semimodular"]
+        assert props["modular"] == lattice.is_modular(lat)
+        assert props["distributive"] == lattice.is_distributive(lat)
+        calls.clear()
 
 
 def test_cmd_lattice_rejects_cycles(tmp_path, capsys):

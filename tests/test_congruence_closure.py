@@ -12,10 +12,11 @@ from gislat import oracle
 from gislat.graphs import CapExceeded, build_graph
 from gislat.oracle import (associativity_violations, build_semigroup,
                            enumerate_congruences, generated_congruence,
-                           partition_join, partition_meet,
-                           principal_congruences, refines, verify_isomorphism)
+                           partition_join, principal_congruences,
+                           verify_isomorphism)
 
 import oracles
+from conftest import make_split_graph
 from test_acceptance import sweep_graphs
 
 
@@ -116,7 +117,8 @@ def test_translates_generate_smaller_principal_congruences(sweep):
         for (x, y), labels in cg.items():
             for a, b in zip(table.trans[x], table.trans[y]):
                 if a != b:
-                    assert refines(cg[min(a, b), max(a, b)], labels), (x, y)
+                    assert oracles.refines(cg[min(a, b), max(a, b)],
+                                           labels), (x, y)
 
 
 def test_principal_congruences_match_one_closure_per_pair(sweep):
@@ -153,7 +155,7 @@ def test_partition_join_and_meet():
         l1 = random_labels(rnd, n, rnd.randint(1, n))
         l2 = random_labels(rnd, n, rnd.randint(1, n))
         assert partition_join(l1, l2) == oracles.join_partitions(l1, l2)
-        meet = partition_meet(l1, l2)
+        meet = oracles.partition_meet(l1, l2)
         assert meet == oracles.join_partitions(meet, meet)  # canonical
         assert all((meet[i] == meet[j]) == (l1[i] == l1[j] and l2[i] == l2[j])
                    for i in range(n) for j in range(n))
@@ -203,3 +205,66 @@ def test_verify_isomorphism_reports_wrong_joins_and_meets(monkeypatch):
     assert not report.passed
     assert report.failures == [f"join mismatch at {a!r}, {b!r}",
                                f"meet mismatch at {a!r}, {b!r}"]
+
+
+@pytest.fixture
+def split_lattice():
+    """The split graph's triple lattice and the block count of the
+    congruence each element realizes.  Unlike a path's, it has incomparable
+    elements whose congruences have as many blocks."""
+    g = make_split_graph()
+    table = build_semigroup(g)
+    lat = oracle.enumerate_lattice(g, oracle.DEFAULT_LATTICE_CAP)
+    blocks = [max(oracle.realize_triple(t, table)) + 1 for t in lat.elements]
+    return g, lat, blocks
+
+
+@pytest.mark.parametrize("upward", [True, False])
+def test_verify_isomorphism_reports_one_flipped_order_pair(monkeypatch,
+                                                           split_lattice,
+                                                           upward):
+    """Flipping the triple order on one ordered pair of comparable elements,
+    either way round, gives one order mismatch, at that pair."""
+    g, lat, _ = split_lattice
+    i, j = next((i, j) for i, j in all_pairs(lat.n) if lat.leq_idx(i, j))
+    a, b = lat.elements[i], lat.elements[j]
+    if not upward:
+        a, b = b, a
+    real = oracle._triples.leq
+    monkeypatch.setattr(oracle._triples, "leq",
+                        lambda s, t: real(s, t) != ((s, t) == (a, b)))
+    report = verify_isomorphism(g)
+    assert report.failures == [f"order mismatch at {a!r} vs {b!r}: "
+                               f"triple {not upward}, congruence {upward}"]
+
+
+def test_verify_isomorphism_reports_join_not_above_both(monkeypatch,
+                                                        split_lattice):
+    """The wrong join has the true join's block count, so only the check
+    that it lies above both elements can catch it."""
+    g, lat, blocks = split_lattice
+    i, j, k = next(
+        (i, j, k) for i, j in all_pairs(lat.n) for k in range(lat.n)
+        if k != lat.join_idx(i, j) and blocks[k] == blocks[lat.join_idx(i, j)]
+        and not (lat.leq_idx(i, k) and lat.leq_idx(j, k)))
+    lat._joins[i, j] = k
+    monkeypatch.setattr(oracle, "enumerate_lattice", lambda graph, cap: lat)
+    report = verify_isomorphism(g)
+    a, b = lat.elements[i], lat.elements[j]
+    assert report.failures == [f"join mismatch at {a!r}, {b!r}"]
+
+
+def test_verify_isomorphism_reports_meet_not_below_both(monkeypatch,
+                                                        split_lattice):
+    """The wrong meet has the true meet's block count, so only the check
+    that it lies below both elements can catch it."""
+    g, lat, blocks = split_lattice
+    i, j, k = next(
+        (i, j, k) for i, j in all_pairs(lat.n) for k in range(lat.n)
+        if k != lat.meet_idx(i, j) and blocks[k] == blocks[lat.meet_idx(i, j)]
+        and not (lat.leq_idx(k, i) and lat.leq_idx(k, j)))
+    lat._meets[i, j] = k
+    monkeypatch.setattr(oracle, "enumerate_lattice", lambda graph, cap: lat)
+    report = verify_isomorphism(g)
+    a, b = lat.elements[i], lat.elements[j]
+    assert report.failures == [f"meet mismatch at {a!r}, {b!r}"]

@@ -4,13 +4,13 @@ from gislat.graphs import CapExceeded, build_graph
 from gislat.oracle import (all_paths, associativity_violations,
                            build_semigroup, enumerate_congruences,
                            generated_congruence, inverse, multiply,
-                           partition_join, partition_meet,
-                           principal_congruences, realize_triple, refines,
-                           verify_isomorphism)
+                           partition_join, principal_congruences,
+                           realize_triple, verify_isomorphism)
 from gislat.triples import WangTriple
 from gislat.census import acyclic_multigraphs
 
 from conftest import make_split_graph, make_parallel_pair, make_path3
+from oracles import partition_meet, refines
 
 
 def test_all_paths_split_graph(split_graph):
