@@ -378,13 +378,13 @@ def verify_isomorphism(graph: Digraph,
 
     Each pair P, Q of realized partitions is compared through one set, the
     distinct label pairs of its elements; with b(X) the number of blocks of
-    X, b(P ^ Q) is their count.  A refinement or coarsening of X with b(X)
-    blocks is X, so: P <= Q iff b(P ^ Q) = b(P), as P ^ Q refines P and is
-    P when P <= Q; R = P ^ Q iff R refines P and Q, hence P ^ Q, and
-    b(R) = b(P ^ Q); R = P v Q iff R lies above P and Q, hence above P v Q,
-    and b(R) = b(P v Q).  Two elements share a block of P v Q iff a chain of
-    shared P- or Q-blocks links them, so b(P v Q) counts the components of
-    the bipartite graph on the blocks of P and Q with an edge per pair."""
+    X, P ^ Q has one block per pair.  A refinement of X with b(X) blocks is
+    X, and P ^ Q refines P, so P <= Q iff the set has b(P) pairs.  This
+    computes the refinement order of the realized partitions exactly.  When
+    the bijection checks pass, those partitions are all of Con(S), so R is
+    P v Q iff it is an upper bound of P and Q below every common upper
+    bound, and dually for the meet; when they fail, the report fails
+    anyway."""
     if table is None:
         table = build_semigroup(graph, element_cap)
     lat = enumerate_lattice(graph, lattice_cap)
@@ -409,35 +409,32 @@ def verify_isomorphism(graph: Digraph,
 
     n = len(lat.elements)
     blocks = [max(part) + 1 for part in realized]
-    # finer[i] has bit j when realized[i] refines realized[j]
-    finer = [0] * n
-    counts = []
+    # up[a] has bit b when realized[a] refines realized[b]; down transposes it
+    up = [0] * n
+    down = [0] * n
     for i in range(n):
         for j in range(i, n):
-            pairs = set(zip(realized[i], realized[j]))
+            meet_blocks = len(set(zip(realized[i], realized[j])))
             for a, b in ((i, j), (j, i)) if i < j else ((i, i),):
                 order_t = _triples.leq(lat.elements[a], lat.elements[b])
-                order_c = len(pairs) == blocks[a]
+                order_c = meet_blocks == blocks[a]
                 if order_c:
-                    finer[a] |= 1 << b
+                    up[a] |= 1 << b
+                    down[b] |= 1 << a
                 if order_t != order_c:
                     failures.append(
                         f"order mismatch at {lat.elements[a]!r} vs "
                         f"{lat.elements[b]!r}: triple {order_t}, congruence {order_c}")
-            parent = list(range(blocks[i] + blocks[j]))
-            _merge(parent, [(x, blocks[i] + y) for x, y in pairs])
-            counts += len(pairs), sum(x == r for x, r in enumerate(parent))
-    counts = iter(counts)
     for i in range(n):
         for j in range(i, n):
-            meet_blocks, join_blocks = next(counts), next(counts)
             r = lat.join_idx(i, j)
-            if not ((finer[i] & finer[j]) >> r & 1 and blocks[r] == join_blocks):
+            common = up[i] & up[j]
+            if not (common >> r & 1 and common & ~up[r] == 0):
                 failures.append(
                     f"join mismatch at {lat.elements[i]!r}, {lat.elements[j]!r}")
             m = lat.meet_idx(i, j)
-            if not (finer[m] >> i & 1 and finer[m] >> j & 1 and
-                    blocks[m] == meet_blocks):
+            common = down[i] & down[j]
+            if not (common >> m & 1 and common & ~down[m] == 0):
                 failures.append(
                     f"meet mismatch at {lat.elements[i]!r}, {lat.elements[j]!r}")
 

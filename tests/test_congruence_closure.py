@@ -268,3 +268,52 @@ def test_verify_isomorphism_reports_meet_not_below_both(monkeypatch,
     report = verify_isomorphism(g)
     a, b = lat.elements[i], lat.elements[j]
     assert report.failures == [f"meet mismatch at {a!r}, {b!r}"]
+
+
+def test_verify_isomorphism_reports_join_and_meet_not_bounds(monkeypatch,
+                                                             split_lattice):
+    """Caching one of two incomparable elements as both their join and
+    their meet gives a join below every common upper bound and a meet above
+    every common lower bound, so only the checks that the join lies above
+    both elements and the meet below both can catch them."""
+    g, lat, _ = split_lattice
+    i, j = next((i, j) for i, j in all_pairs(lat.n)
+                if not (lat.leq_idx(i, j) or lat.leq_idx(j, i)))
+    lat._joins[i, j] = lat._meets[i, j] = i
+    monkeypatch.setattr(oracle, "enumerate_lattice", lambda graph, cap: lat)
+    report = verify_isomorphism(g)
+    a, b = lat.elements[i], lat.elements[j]
+    assert report.failures == [f"join mismatch at {a!r}, {b!r}",
+                               f"meet mismatch at {a!r}, {b!r}"]
+
+
+def test_verify_isomorphism_reports_two_triples_on_one_congruence(
+        monkeypatch, split_lattice):
+    """A non-bottom triple realizing the diagonal shares it with the bottom,
+    and its own congruence is then realized by no triple."""
+    g, lat, _ = split_lattice
+    top = lat.elements[lat.top]
+    real = oracle.realize_triple
+    monkeypatch.setattr(
+        oracle, "realize_triple",
+        lambda t, table: tuple(range(len(table))) if t == top else real(t, table))
+    report = verify_isomorphism(g)
+    assert not report.passed
+    assert (f"triples {lat.elements[lat.bottom]!r} and {top!r} realize the "
+            f"same congruence") in report.failures
+    assert "1 congruences not realized by any triple" in report.failures
+    assert not any("not congruences" in f for f in report.failures)
+
+
+def test_verify_isomorphism_reports_partitions_that_are_not_congruences(
+        monkeypatch):
+    """A congruence missing from the enumeration leaves the triple that
+    realizes it with a partition that is not on the list."""
+    real = oracle.enumerate_congruences
+    monkeypatch.setattr(oracle, "enumerate_congruences",
+                        lambda *args: real(*args)[:-1])
+    report = verify_isomorphism(make_split_graph())
+    assert not report.passed
+    assert "1 realized partitions are not congruences" in report.failures
+    assert not any("realize the same" in f or "not realized" in f
+                   for f in report.failures)

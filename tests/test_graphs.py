@@ -293,3 +293,22 @@ def test_atomistic_example_shape():
     core = g.vertex_set(["v9", "v10"])
     assert core in g.strongly_connected_components()
     assert len(g.cycles_in(core)) == 3
+
+
+def test_graph_layer_matches_networkx():
+    """Reachability, strongly connected components and the cycle count
+    against networkx, on seeded random simple digraphs with self-loops."""
+    nx = pytest.importorskip("networkx")
+    for seed in range(300):
+        rnd = random.Random(seed)
+        n = rnd.randint(1, 6)
+        p = rnd.random()
+        edges = [(u, v) for u in range(n) for v in range(n) if rnd.random() < p]
+        g = Digraph([f"v{i}" for i in range(n)], edges)
+        ref = nx.DiGraph(edges)
+        ref.add_nodes_from(range(n))
+        for v in range(n):
+            assert g.reach[v] == mask_of(nx.descendants(ref, v) | {v}), seed
+        assert (sorted(g.strongly_connected_components())
+                == sorted(map(mask_of, nx.strongly_connected_components(ref)))), seed
+        assert len(g.cycles()) == sum(1 for _ in nx.simple_cycles(ref)), seed
