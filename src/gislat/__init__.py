@@ -6,7 +6,7 @@ from .triples import (INF, WangTriple, validate, leq, join, meet,
                       generating_pairs)
 from .lattice import (ConLattice, FiniteLattice, enumerate_lattice,
                       is_upper_semimodular, is_lower_semimodular, is_modular,
-                      is_distributive, is_atomistic_lattice,
+                      is_distributive, is_atomistic_lattice, join_irreducibles,
                       predicate_lower_semimodular, predicate_condition_iv,
                       predicate_atomistic, minimal_generating_set,
                       generated_sublattice)

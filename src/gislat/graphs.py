@@ -131,10 +131,7 @@ class Digraph:
 
     def is_hereditary(self, H: int) -> bool:
         """Is every vertex reachable from H already in H?"""
-        closure = 0
-        for v in bits(H):
-            closure |= self.reach[v]
-        return closure | H == H
+        return self.hereditary_closure(H) == H
 
     def hereditary_closure(self, S: int) -> int:
         """Least hereditary superset of S."""

@@ -273,9 +273,18 @@ def is_distributive(lat: FiniteLattice) -> bool:
     return is_modular(lat) and _irreducibles_match_length(lat)
 
 
+def join_irreducibles(lat: FiniteLattice):
+    """The join-irreducible elements, those with exactly one lower cover, in
+    index order.  In a finite lattice every element is the join of the
+    join-irreducibles below it, and a join-irreducible is no join of
+    elements strictly below it, so they form the unique minimal
+    join-generating set."""
+    return [i for i, row in enumerate(lat.cover_dn) if row.bit_count() == 1]
+
+
 def _irreducibles_match_length(lat: FiniteLattice) -> bool:
     """Are there as many join-irreducibles as the length?  See is_distributive."""
-    irreducible = sum(1 for row in lat.cover_dn if row.bit_count() == 1)
+    irreducible = len(join_irreducibles(lat))
     length = 0
     at = lat.bottom
     while at != lat.top:
@@ -294,7 +303,7 @@ def is_atomistic_lattice(lat: FiniteLattice) -> bool:
     bottom.
     """
     bottom = 1 << lat.bottom
-    return all(row == bottom for row in lat.cover_dn if row.bit_count() == 1)
+    return all(lat.cover_dn[i] == bottom for i in join_irreducibles(lat))
 
 
 # -- graph-level predicates (valid for cyclic graphs too) --------------------
@@ -374,20 +383,27 @@ def minimal_generating_set(graph: Digraph):
     return gens
 
 
+def element_indices(lat: ConLattice, elements):
+    """Sorted indices of the given elements, repeats kept; a ValueError
+    names the first element that is not in the lattice."""
+    try:
+        return sorted(lat.index[t] for t in elements)
+    except KeyError as exc:
+        raise ValueError(f"element {exc.args[0]!r} is not in the lattice") from None
+
+
 def generated_sublattice(lat: ConLattice, gens):
     """Join closure of the given elements together with the bottom.
 
-    Each element is joined with the generators only: an element of the
-    closure other than the bottom is a join g1 v ... v gk of generators,
-    reached from g1 v ... v gk-1 by one join with gk."""
-    idxs = set()
-    for t in gens:
-        try:
-            idxs.add(lat.index[t])
-        except KeyError:
-            raise ValueError(f"element {t!r} is not in the lattice") from None
-    generators = sorted(idxs)
-    idxs.add(lat.bottom)
+    This is the independent join closure that criterion 07 checks
+    generation against; `gislat generators` decides generation and
+    minimality from join_irreducibles and calls it only to report how far
+    a failing set reaches.  Each element is joined with the generators
+    only: an element of the closure other than the bottom is a join
+    g1 v ... v gk of generators, reached from g1 v ... v gk-1 by one join
+    with gk."""
+    generators = sorted(set(element_indices(lat, gens)))
+    idxs = {lat.bottom, *generators}
     frontier = list(generators)
     while frontier:
         a = frontier.pop()

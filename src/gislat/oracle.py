@@ -10,7 +10,6 @@ appearance.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .graphs import CapExceeded, Digraph
@@ -118,30 +117,48 @@ def build_semigroup(graph: Digraph, element_cap: int = DEFAULT_ELEMENT_CAP) -> M
     return MulTable(graph, elements)
 
 
-def associativity_violations(table: MulTable, exhaustive_limit: int = 60,
-                             samples: int = 5000, seed: int = 0):
-    """Triples (x, y, z) with (xy)z != x(yz), in lexicographic order:
-    exhaustive for small tables, randomized beyond.  The exhaustive check
-    compares the row of xy with x times the row of y, and lists z only
-    where the two rows differ."""
-    n = len(table)
+def associativity_violations(table: MulTable):
+    """Triples (x, g, z) with (xg)z != x(gz), in lexicographic order, for
+    every x and z and every middle g: the zero, the generators, and each
+    element that right multiplication by generators does not reach from
+    them.  For each x and g the row of xg is compared with x times the row
+    of g, and z is listed only where the two differ.  The list is empty iff
+    the table is associative (Light's test; Clifford and Preston, The
+    Algebraic Theory of Semigroups I, section 1.2):
+
+    1. The elements a with (xa)z = x(az) for all x and z are closed under
+       the table's product: for such a and b,
+       (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z).
+    2. The middles generate every element under the table's own product,
+       even when the table is corrupted: a reached element that is not a
+       middle is r g for an element r reached before it and a generator g,
+       so a product of middles by induction, and the rest are middles.
+
+    So when no middle has a violation, neither has any element.  Rows need
+    only be lists, generators a list of indices and 0 the zero."""
     rows = table.rows
+    gens = table.generators
+    n = len(rows)
+    reached = [False] * n
+    frontier = [0, *gens]
+    for a in frontier:
+        reached[a] = True
+    while frontier:
+        row = rows[frontier.pop()]
+        for g in gens:
+            b = row[g]
+            if not reached[b]:
+                reached[b] = True
+                frontier.append(b)
+    middles = sorted({0, *gens, *(a for a in range(n) if not reached[a])})
     bad = []
-    if n <= exhaustive_limit:
-        for x in range(n):
-            row_x = rows[x]
-            for y in range(n):
-                left = rows[row_x[y]]
-                right = [row_x[v] for v in rows[y]]
-                if left != right:
-                    bad.extend((x, y, z) for z in range(n)
-                               if left[z] != right[z])
-        return bad
-    rnd = random.Random(seed)
-    for _ in range(samples):
-        x, y, z = rnd.randrange(n), rnd.randrange(n), rnd.randrange(n)
-        if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
-            bad.append((x, y, z))
+    for x in range(n):
+        row_x = rows[x]
+        for g in middles:
+            left = rows[row_x[g]]
+            right = [row_x[v] for v in rows[g]]
+            if left != right:
+                bad.extend((x, g, z) for z in range(n) if left[z] != right[z])
     return bad
 
 

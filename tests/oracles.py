@@ -8,7 +8,8 @@ atoms under joins, the pentagon and diamond sublattice finders, and the
 join closure of generating sets over all pairs found.  The semigroup
 oracle's congruence closure and enumeration have their direct versions at
 the end, with the partition meet and refinement test that the isomorphism
-check replaced by block counts.  They are slow and only serve as ground
+check replaced by block counts, and the associativity check over all
+triples that Light's test replaced.  They are slow and only serve as ground
 truth.
 """
 
@@ -193,6 +194,14 @@ ORACLES = {
 # joins only with principal congruences, and closes each principal
 # congruence from an already-closed translate.  These are the direct
 # versions.
+
+
+def all_triples_violations(rows):
+    """Test oracle: every triple (x, y, z) of a multiplication table with
+    (xy)z != x(yz), in lexicographic order."""
+    n = len(rows)
+    return [(x, y, z) for x in range(n) for y in range(n) for z in range(n)
+            if rows[rows[x][y]][z] != rows[x][rows[y][z]]]
 
 
 def all_translations_closure(table, pairs, cols=None):

@@ -11,6 +11,7 @@ from gislat.cli import (GraphParseError, format_graph, lattice_dot,
                         main, parse_graph_text, triple_from_json, triple_json)
 from gislat.graphs import Digraph, build_graph
 from gislat.lattice import FiniteLattice, enumerate_lattice
+from gislat.triples import WangTriple
 
 import oracles
 from conftest import make_split_graph, make_atomistic_example
@@ -284,6 +285,35 @@ def test_cmd_generators(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["generators"]) == 5
     assert doc["closure_check"] == "PASS"
+    assert doc["closure_elements"] == doc["lattice_elements"] == 14
+
+
+def test_cmd_generators_fails_without_a_join_irreducible(tmp_path, capsys,
+                                                         monkeypatch):
+    full = lattice.minimal_generating_set
+    monkeypatch.setattr(lattice, "minimal_generating_set",
+                        lambda graph: full(graph)[1:])
+    path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
+    assert main(["generators", path, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["closure_check"] == "FAIL"
+    assert doc["closure_elements"] < doc["lattice_elements"] == 14
+
+
+def test_cmd_generators_fails_a_generating_set_that_is_not_minimal(
+        tmp_path, capsys, monkeypatch):
+    """Adding the top keeps the set generating, so only the minimality
+    check fails it."""
+    full = lattice.minimal_generating_set
+    monkeypatch.setattr(lattice, "minimal_generating_set",
+                        lambda graph: full(graph) + [WangTriple(graph,
+                                                                graph.full, 0)])
+    path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
+    assert main(["generators", path]) == 1
+    assert "closure check: FAIL (14 of 14 elements)" in capsys.readouterr().out
+    assert main(["generators", path, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["closure_check"] == "FAIL"
     assert doc["closure_elements"] == doc["lattice_elements"] == 14
 
 

@@ -5,6 +5,7 @@ against one closure per pair, the enumeration by principal joins against
 the found x found join closure, and the helpers it rests on."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -161,14 +162,43 @@ def test_partition_join_and_meet():
                    for i in range(n) for j in range(n))
 
 
-def test_associativity_violations_lists_every_triple():
-    table = build_semigroup(build_graph("abc", [("a", "b"), ("b", "c")]))
-    n = len(table)
-    table.rows[3][5] = table.rows[3][5] + 1 if table.rows[3][5] < n - 1 else 0
-    rows = table.rows
-    expected = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)
-                if rows[rows[x][y]][z] != rows[x][rows[y][z]]]
-    assert expected
+def test_associativity_violations_agree_with_all_triples(sweep):
+    """Light's test against the loop over all triples on seeded corruptions
+    of the criterion-02 semigroups: a violation is listed iff the loop
+    finds one, and every triple listed is one the loop finds."""
+    rnd = random.Random(47)
+    corrupted = 0
+    for table, _ in sweep:
+        assert associativity_violations(table) == []
+        n = len(table)
+        for _ in range(20):
+            rows = [row[:] for row in table.rows]
+            for _ in range(rnd.randint(1, 3)):
+                rows[rnd.randrange(n)][rnd.randrange(n)] = rnd.randrange(n)
+            got = associativity_violations(
+                SimpleNamespace(rows=rows, generators=table.generators))
+            expected = oracles.all_triples_violations(rows)
+            assert bool(got) == bool(expected), rows
+            assert set(got) <= set(expected), rows
+            assert got == sorted(got)
+            corrupted += bool(expected)
+    assert corrupted > 100
+
+
+def test_associativity_violations_check_unreached_middles():
+    """A magma whose one generator reaches nothing new: 0 is the zero, g
+    the identity and only generator, and u, v are not reached, with
+    uu = v, uv = u and vu = vv = 0.  Every element is then a middle, so the
+    list is the full triple loop's; over the generators alone it would be
+    empty."""
+    zero, g, u, v = range(4)
+    rows = [[zero] * 4,
+            [zero, g, u, v],
+            [zero, u, v, u],
+            [zero, v, zero, zero]]
+    expected = [(u, u, u), (u, u, v), (u, v, u), (u, v, v)]
+    assert oracles.all_triples_violations(rows) == expected
+    table = SimpleNamespace(rows=rows, generators=[g])
     assert associativity_violations(table) == expected
 
 
@@ -240,8 +270,8 @@ def test_verify_isomorphism_reports_one_flipped_order_pair(monkeypatch,
 
 def test_verify_isomorphism_reports_join_not_above_both(monkeypatch,
                                                         split_lattice):
-    """The wrong join has the true join's block count, so only the check
-    that it lies above both elements can catch it."""
+    """A wrong join with the true join's block count that does not lie
+    above both elements is reported as one join mismatch."""
     g, lat, blocks = split_lattice
     i, j, k = next(
         (i, j, k) for i, j in all_pairs(lat.n) for k in range(lat.n)
@@ -256,8 +286,8 @@ def test_verify_isomorphism_reports_join_not_above_both(monkeypatch,
 
 def test_verify_isomorphism_reports_meet_not_below_both(monkeypatch,
                                                         split_lattice):
-    """The wrong meet has the true meet's block count, so only the check
-    that it lies below both elements can catch it."""
+    """A wrong meet with the true meet's block count that does not lie
+    below both elements is reported as one meet mismatch."""
     g, lat, blocks = split_lattice
     i, j, k = next(
         (i, j, k) for i, j in all_pairs(lat.n) for k in range(lat.n)

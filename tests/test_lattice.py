@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
-from gislat.graphs import CapExceeded, build_graph
+from gislat.graphs import CapExceeded, Digraph, build_graph
 from gislat.lattice import (FiniteLattice, enumerate_lattice,
                             generated_sublattice, is_atomistic_lattice,
                             is_distributive, is_lower_semimodular,
                             is_modular, is_upper_semimodular,
-                            minimal_generating_set, predicate_atomistic,
+                            join_irreducibles, minimal_generating_set,
+                            predicate_atomistic,
                             predicate_condition_iv,
                             predicate_lower_semimodular)
 from gislat.triples import WangTriple, atoms
@@ -184,6 +187,40 @@ def test_minimal_generating_set_rejects_non_simple():
 def test_minimal_generating_set_matches_brute_force():
     for g in simple_graphs(3) + simple_graphs(4):
         assert set(minimal_generating_set(g)) == set(brute_force_type_congruences(g))
+
+
+def random_connected_dags(count, seed):
+    """Seeded weakly connected DAGs on 6 or 7 vertices."""
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rnd.randint(6, 7)
+        p = rnd.uniform(0.25, 0.5)
+        g = Digraph([f"v{i}" for i in range(n)],
+                    [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rnd.random() < p])
+        if g.is_weakly_connected():
+            out.append(g)
+    return out
+
+
+def test_join_irreducibles_of_handmade_lattices():
+    assert join_irreducibles(n5()) == [1, 2, 3]
+    assert join_irreducibles(m3()) == [1, 2, 3]
+    assert join_irreducibles(chain(4)) == [1, 2, 3]
+    assert join_irreducibles(chain(1)) == []
+
+
+def test_join_irreducibles_are_the_minimal_generating_set():
+    """The paper's minimal generating set is the set of join-irreducibles,
+    on every simple graph up to 5 vertices and on random 6- and 7-vertex
+    DAGs."""
+    graphs = [g for n in range(1, 6) for g in simple_graphs(n)]
+    assert len(graphs) == 342
+    for g in graphs + random_connected_dags(100, 53):
+        lat = enumerate_lattice(g)
+        gens = sorted(lat.index[t] for t in minimal_generating_set(g))
+        assert join_irreducibles(lat) == gens, g
 
 
 def test_generated_sublattice_basics(split_graph):
