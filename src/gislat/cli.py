@@ -12,8 +12,9 @@ import argparse
 import json
 import re
 import sys
+from itertools import groupby
 
-from .graphs import CapExceeded, Digraph, bits
+from .graphs import CapExceeded, Digraph
 from . import lattice as _lattice
 from . import oracle as _oracle
 from .census import simple_graphs
@@ -126,8 +127,12 @@ def lattice_from_json(doc: dict) -> ConLattice:
     graph = Digraph(doc["vertices"],
                     [(doc["vertices"].index(s), doc["vertices"].index(r))
                      for s, r in doc["edges"]])
-    return ConLattice(graph, [triple_from_json(graph, e)
-                              for e in doc["elements"]])
+    elements = {triple_from_json(graph, e) for e in doc["elements"]}
+    # a document written with a raised --cap lists more than the default
+    lat = enumerate_lattice(graph, max(_lattice.DEFAULT_LATTICE_CAP, len(elements)))
+    if elements != set(lat.elements):
+        raise ValueError("the document does not list the lattice's elements")
+    return lat
 
 
 def lattice_properties(lat: ConLattice) -> dict:
@@ -144,22 +149,16 @@ def lattice_properties(lat: ConLattice) -> dict:
 
 
 def lattice_dot(lat: ConLattice) -> str:
-    # rank each element by its longest chain from the bottom; covers point
-    # to larger indices, so index order visits each element after its
-    # lower covers
-    depth = [0] * lat.n
-    for i in range(lat.n):
-        for j in bits(lat.cover_up[i]):
-            depth[j] = max(depth[j], depth[i] + 1)
     lines = ["digraph conlat {", "  rankdir=BT;", "  node [shape=box];"]
     for i, t in enumerate(lat.elements):
         lines.append(f'  n{i} [label="{t!r}"];')
     for i, j in lat.cover_list():
         lines.append(f"  n{i} -> n{j};")
-    for d in range(max(depth) + 1 if lat.n else 0):
-        members = [f"n{i}" for i in range(lat.n) if depth[i] == d]
-        if members:
-            lines.append("  {rank=same; " + "; ".join(members) + ";}")
+    # every chain from the bottom to an element has |H u W| steps, and the
+    # elements are numbered by that size
+    size = [(t.H | t.W).bit_count() for t in lat.elements]
+    for _, rank in groupby(range(lat.n), size.__getitem__):
+        lines.append("  {rank=same; " + "; ".join(f"n{i}" for i in rank) + ";}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -218,18 +217,20 @@ def cmd_lattice(args) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(lattice_dot(lat))
-    doc = lattice_json(lat, properties=args.properties)
+    if args.json:
+        _emit(lattice_json(lat, properties=args.properties), (), True)
+        return EXIT_OK
     lines = [f"elements: {lat.n}",
-             f"covers: {len(doc['covers'])}",
+             f"covers: {sum(row.bit_count() for row in lat.cover_up)}",
              f"bottom covers: {lat.cover_up[lat.bottom].bit_count()}"]
     if args.properties:
-        for key, val in doc["properties"].items():
+        for key, val in lattice_properties(lat).items():
             if key != "elements":
                 lines.append(f"{key.replace('_', '-')}: "
                              f"{'yes' if val else 'no'}")
     if args.dot:
         lines.append(f"DOT written to {args.dot}")
-    _emit(doc, lines, args.json)
+    _emit(None, lines, False)
     return EXIT_OK
 
 

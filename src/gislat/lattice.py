@@ -9,15 +9,15 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .graphs import CapExceeded, Digraph, bits
+from .graphs import CapExceeded, Digraph, bits, mask_of
 from . import triples
 from .triples import WangTriple
 
 # Every element keeps two n-bit cover rows, and two more order rows once
 # something reads them, so memory grows as n squared.  On a 2-core machine
-# the 39,936-element lattice of a 16-vertex DAG enumerates in 1.3–1.9 s
-# at 281 MB peak RSS, and `gislat lattice --json --properties` takes 6.8 s
-# at 355 MB on it; see CHANGES.md.
+# the 39,936-element lattice of a 16-vertex DAG enumerates in 1.2–2.0 s
+# at 279 MB peak RSS, and `gislat lattice --json --properties` takes
+# 3.9–5.6 s at 358 MB on it; see CHANGES.md.
 DEFAULT_LATTICE_CAP = 40_000
 
 
@@ -124,53 +124,63 @@ class FiniteLattice:
 
 
 def eligible_sets(graph: Digraph):
-    """Each hereditary set H with the vertices W may draw from: those
-    outside H keeping exactly one out-edge once H is removed."""
-    return [(H, [v for v in range(graph.n)
-                 if not H >> v & 1 and graph.out_degree_minus(v, H) == 1])
+    """Each hereditary set H with the mask of vertices W may draw from:
+    those outside H keeping exactly one out-edge once H is removed."""
+    return [(H, mask_of(v for v in range(graph.n) if not H >> v & 1
+                        and graph.out_degree_minus(v, H) == 1))
             for H in graph.hereditary_sets()]
 
 
 class ConLattice(FiniteLattice):
-    """The congruence lattice of an acyclic graph as explicit Wang triples.
+    """The congruence lattice of a finite acyclic graph: the triples
+    (H, W, ∅) with W ⊆ eligible(H) (Wang, J. Algebra 2019), ordered by
+    inclusion of U = H ∪ W and numbered by (|U|, U).
 
-    elements must be the whole lattice, Σ_H 2^|eligible(H)| triples, since
-    the order is closed from the covers.  In an acyclic graph H u W
-    determines the triple, and t2 covers t1 exactly when t1 <= t2 and
-    H2 u W2 adds one vertex to H1 u W1; so each element's upper covers are
-    found by looking up its union plus each missing vertex.
+    H is H* = {v ∈ U : reach(v) ⊆ U}, the largest hereditary subset of U:
+    were H* \\ H not empty, it would hold a vertex w reaching no other of
+    its vertices (the graph is acyclic); w lies in W, and its one out-edge
+    surviving H ends in H* \\ H at a vertex other than w.  So U determines
+    the triple, and t1 <= t2 iff U1 ⊆ U2 (H1 is hereditary inside U2, so
+    H1 ⊆ H2, and W1 \\ H2 ⊆ U2 \\ H2 = W2).
 
-    Joins and meets delegate to the triple calculus; join_idx_order and
-    meet_idx_order resolve them through the order rows instead, as a
-    cross-check.
+    For unions U1 ⊊ U2 pick v ∈ U2 \\ U1 reaching no other vertex of it.
+    Its out-edges into H2 end in H1, and it has at most one more, so
+    outside the H* of U1 ∪ {v} it keeps at most one out-edge, and each
+    vertex of W1 its one (or it would reach only U1 ∪ {v}): U1 ∪ {v} is a
+    union.  So the upper covers are the unions that add one vertex, found
+    by lookup, and every chain from the bottom to t has |U| steps.  Joins
+    and meets delegate to the triple calculus; join_idx_order and
+    meet_idx_order resolve them through the order rows, as a cross-check.
     """
 
-    def __init__(self, graph: Digraph, elements):
+    def __init__(self, graph: Digraph, cap: int = DEFAULT_LATTICE_CAP):
         if not graph.is_acyclic():
             raise ValueError("graph has cycles; its congruence lattice is infinite")
-        elements = sorted(set(elements),
-                          key=lambda t: ((t.H | t.W).bit_count(), t.H | t.W, t.H))
-        if any(t.graph != graph for t in elements):
-            raise ValueError("an element lives on another graph")
-        size = sum(1 << len(elig) for _, elig in eligible_sets(graph))
-        if len(elements) != size:
-            raise ValueError(f"{len(elements)} distinct elements given; "
-                             f"the lattice has {size}")
+        eligible = eligible_sets(graph)
+        total = sum(1 << elig.bit_count() for _, elig in eligible)
+        if total > cap:
+            raise CapExceeded(f"lattice would have {total} elements, "
+                              f"more than the cap of {cap}")
+        parts = []
+        for H, elig in eligible:
+            W = elig
+            while True:
+                parts.append((H | W, H, W))
+                if not W:
+                    break
+                W = (W - 1) & elig
+        parts.sort(key=lambda p: (p[0].bit_count(), p[0]))
         self.graph = graph
-        self.elements = elements
-        self.index = {t: i for i, t in enumerate(elements)}
-        by_union = {t.H | t.W: i for i, t in enumerate(elements)}
+        self.elements = [WangTriple(graph, H, W) for _, H, W in parts]
+        self.index = {t: i for i, t in enumerate(self.elements)}
+        by_union = {u: i for i, (u, _, _) in enumerate(parts)}
         cover_up = []
-        for i, t in enumerate(elements):
-            h1, w1 = t.H, t.W
-            u1 = h1 | w1
+        for u, _, _ in parts:
             covers = 0
-            for v in bits(graph.full & ~u1):
-                j = by_union.get(u1 | 1 << v)
+            for v in bits(graph.full & ~u):
+                j = by_union.get(u | 1 << v)
                 if j is not None:
-                    h2 = elements[j].H
-                    if h1 & ~h2 == 0 and w1 & ~h2 & ~elements[j].W == 0:
-                        covers |= 1 << j
+                    covers |= 1 << j
             cover_up.append(covers)
         super().__init__(cover_up)
 
@@ -189,22 +199,7 @@ class ConLattice(FiniteLattice):
 
 def enumerate_lattice(graph: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> ConLattice:
     """All Wang triples of a finite acyclic graph, as an explicit lattice."""
-    if not graph.is_acyclic():
-        raise ValueError("graph has cycles; its congruence lattice is infinite")
-    eligible = eligible_sets(graph)
-    total = sum(1 << len(elig) for _, elig in eligible)
-    if total > cap:
-        raise CapExceeded(f"lattice would have {total} elements, "
-                          f"more than the cap of {cap}")
-    elements = []
-    for H, elig in eligible:
-        for pick in range(1 << len(elig)):
-            W = 0
-            for k in range(len(elig)):
-                if pick >> k & 1:
-                    W |= 1 << elig[k]
-            elements.append(WangTriple(graph, H, W))
-    return ConLattice(graph, elements)
+    return ConLattice(graph, cap)
 
 
 # -- lattice-level property checks ------------------------------------------

@@ -1,15 +1,17 @@
 import io
 import json
 import random
+import re
 from time import monotonic
 
 import pytest
 
 from gislat import lattice
+from gislat.census import connected_simple_graphs
 from gislat.cli import (GraphParseError, format_graph, lattice_dot,
                         lattice_from_json, lattice_json, lattice_properties,
                         main, parse_graph_text, triple_from_json, triple_json)
-from gislat.graphs import Digraph, build_graph
+from gislat.graphs import Digraph, bits, build_graph
 from gislat.lattice import FiniteLattice, enumerate_lattice
 from gislat.triples import WangTriple
 
@@ -121,12 +123,30 @@ def test_lattice_json_round_trip():
     assert lat2.cover_list() == lat.cover_list()
 
 
-def test_lattice_dot(tmp_path):
+def test_lattice_from_json_reads_a_lattice_above_the_default_cap(monkeypatch):
     lat = enumerate_lattice(make_split_graph())
-    dot = lattice_dot(lat)
-    assert dot.count("[label=") == 14
-    assert dot.count(" -> ") == len(lat.cover_list())
-    assert "rank=same" in dot
+    doc = lattice_json(lat)
+    monkeypatch.setattr(lattice, "DEFAULT_LATTICE_CAP", 10)
+    assert lattice_from_json(doc).elements == lat.elements
+
+
+def test_lattice_dot(tmp_path):
+    """Each rank line lists, in index order, exactly the elements whose
+    longest chain from the bottom has its length, ranks in length order."""
+    for g in [make_split_graph()] + connected_simple_graphs(5)[::30]:
+        lat = enumerate_lattice(g)
+        dot = lattice_dot(lat)
+        assert dot.count("[label=") == lat.n
+        assert dot.count(" -> ") == len(lat.cover_list())
+        longest = [0] * lat.n
+        for i in range(lat.n):
+            for j in bits(lat.cover_up[i]):
+                longest[j] = max(longest[j], longest[i] + 1)
+        expected = [[i for i in range(lat.n) if longest[i] == d]
+                    for d in range(longest[lat.top] + 1)]
+        ranks = [[int(k) for k in re.findall(r"n(\d+)", line)]
+                 for line in dot.splitlines() if "rank=same" in line]
+        assert ranks == expected, g
 
 
 def test_cmd_check_split_graph(tmp_path, capsys):

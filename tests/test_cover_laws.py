@@ -6,18 +6,16 @@ import random
 import pytest
 
 from gislat.census import acyclic_multigraphs, connected_simple_graphs
-from gislat.cli import lattice_dot, lattice_json
+from gislat.cli import lattice_dot, lattice_from_json, lattice_json
 from gislat.graphs import Digraph, bits
-from gislat.lattice import (ConLattice, FiniteLattice, eligible_sets,
-                            enumerate_lattice, generated_sublattice,
-                            is_atomistic_lattice, is_distributive,
-                            is_lower_semimodular, is_modular,
+from gislat.lattice import (FiniteLattice, eligible_sets, enumerate_lattice,
+                            generated_sublattice, is_atomistic_lattice,
+                            is_distributive, is_lower_semimodular, is_modular,
                             is_upper_semimodular, minimal_generating_set)
 from gislat.triples import WangTriple
 
 import oracles
-from conftest import (chain, m3, make_parallel_pair, make_path3,
-                      make_split_graph, n5)
+from conftest import chain, m3, make_parallel_pair, make_split_graph, n5
 
 LAWS = {
     "upper_semimodular": is_upper_semimodular,
@@ -155,27 +153,29 @@ def test_order_rows_are_built_only_when_read():
     assert "up" in vars(lat) and "down" not in vars(lat)
 
 
-def test_conlattice_rejects_incomplete_element_list():
-    g = make_split_graph()
-    elements = enumerate_lattice(g).elements
-    size = sum(1 << len(elig) for _, elig in eligible_sets(g))
-    assert len(elements) == size == 14
-    for k in range(len(elements)):
-        with pytest.raises(ValueError):
-            ConLattice(g, elements[:k] + elements[k + 1:])
-    with pytest.raises(ValueError):
-        ConLattice(g, [])
-    other = make_path3()
-    with pytest.raises(ValueError):
-        ConLattice(g, elements[:-1] + [WangTriple(other, 0, 0)])
-
-
-def test_conlattice_ignores_order_and_repeats():
+def test_lattice_from_json_rejects_incomplete_element_list():
     g = make_split_graph()
     lat = enumerate_lattice(g)
-    shuffled = list(lat.elements) + lat.elements[:3]
+    size = sum(1 << elig.bit_count() for _, elig in eligible_sets(g))
+    assert lat.n == size == 14
+    doc = lattice_json(lat)
+    elements = doc["elements"]
+    for k in range(len(elements)):
+        with pytest.raises(ValueError):
+            lattice_from_json({**doc, "elements": elements[:k] + elements[k + 1:]})
+    with pytest.raises(ValueError):
+        lattice_from_json({**doc, "elements": []})
+    with pytest.raises(ValueError):
+        lattice_from_json({**doc, "elements": elements[:-1]
+                           + [{"H": ["x"], "W": []}]})
+
+
+def test_lattice_from_json_ignores_order_and_repeats():
+    lat = enumerate_lattice(make_split_graph())
+    doc = lattice_json(lat)
+    shuffled = doc["elements"] + doc["elements"][:3]
     random.Random(31).shuffle(shuffled)
-    again = ConLattice(g, shuffled)
+    again = lattice_from_json({**doc, "elements": shuffled})
     assert again.elements == lat.elements
     assert again.up == lat.up and again.cover_up == lat.cover_up
 

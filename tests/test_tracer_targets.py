@@ -4,13 +4,41 @@ deleted function would otherwise fail only there."""
 
 from pathlib import Path
 
+import pytest
 
-def test_every_traced_name_exists(monkeypatch):
+from gislat import cli
+
+from conftest import make_split_graph
+
+
+@pytest.fixture
+def Tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from tracer import Tracer
+    return Tracer
 
+
+def test_every_traced_name_exists(Tracer):
     targets = Tracer().targets()
     assert targets
     missing = [name for owner, attr, name, *_ in targets
                if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_traced_lattice_run_counts_and_spans(Tracer, tmp_path, capsys):
+    """The tracer's hooks still run on a lattice command: its counters read
+    the constructed lattice and its spans name the constructors."""
+    path = tmp_path / "split.graph"
+    path.write_text(cli.format_graph(make_split_graph()))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["lattice", str(path), "--json", "--properties"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["lattice.elements"] == 14
+    assert tracer.counts["lattice.covers"] == 25
+    spans = {span[2] for span in tracer.spans}
+    assert {"lattice.enumerate_lattice", "lattice.ConLattice",
+            "lattice.FiniteLattice"} <= spans
