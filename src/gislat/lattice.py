@@ -29,8 +29,8 @@ class FiniteLattice:
     and exactly one element may lack a lower cover (the bottom, 0) and one
     an upper cover (the top, n - 1).  cover_dn holds the lower covers.  The
     reflexive order rows up and down are closed from the covers when first
-    read.  Joins and meets are cached per unordered pair, and resolved
-    through the order unless a subclass overrides _join and _meet.
+    read.  Joins and meets are resolved through the order rows unless a
+    subclass overrides join_idx and meet_idx; nothing caches them.
     """
 
     def __init__(self, cover_up):
@@ -54,8 +54,6 @@ class FiniteLattice:
             raise ValueError("order has no unique bottom and top")
         self.bottom = 0
         self.top = n - 1
-        self._joins = {}
-        self._meets = {}
 
     @cached_property
     def up(self):
@@ -97,27 +95,10 @@ class FiniteLattice:
         raise ValueError("bound is not unique; not a lattice")
 
     def join_idx(self, i, j) -> int:
-        key = (i, j) if i <= j else (j, i)
-        got = self._joins.get(key)
-        if got is None:
-            got = self._joins[key] = self._join(*key)
-        return got
-
-    def meet_idx(self, i, j) -> int:
-        key = (i, j) if i <= j else (j, i)
-        got = self._meets.get(key)
-        if got is None:
-            got = self._meets[key] = self._meet(*key)
-        return got
-
-    def join_idx_order(self, i, j) -> int:
         return self._bound(self.up[i] & self.up[j], self.up)
 
-    def meet_idx_order(self, i, j) -> int:
+    def meet_idx(self, i, j) -> int:
         return self._bound(self.down[i] & self.down[j], self.down)
-
-    _join = join_idx_order
-    _meet = meet_idx_order
 
     def atoms_idx(self):
         return list(bits(self.cover_up[self.bottom]))
@@ -149,8 +130,8 @@ class ConLattice(FiniteLattice):
     vertex of W1 its one (or it would reach only U1 ∪ {v}): U1 ∪ {v} is a
     union.  So the upper covers are the unions that add one vertex, found
     by lookup, and every chain from the bottom to t has |U| steps.  Joins
-    and meets delegate to the triple calculus; join_idx_order and
-    meet_idx_order resolve them through the order rows, as a cross-check.
+    and meets delegate to the triple calculus; FiniteLattice's join_idx
+    and meet_idx resolve them through the order rows, as a cross-check.
     """
 
     def __init__(self, graph: Digraph, cap: int = DEFAULT_LATTICE_CAP):
@@ -190,10 +171,10 @@ class ConLattice(FiniteLattice):
         except KeyError:
             raise ValueError(f"{what} left the element list") from None
 
-    def _join(self, i, j) -> int:
+    def join_idx(self, i, j) -> int:
         return self._lookup(triples.join(self.elements[i], self.elements[j]), "join")
 
-    def _meet(self, i, j) -> int:
+    def meet_idx(self, i, j) -> int:
         return self._lookup(triples.meet(self.elements[i], self.elements[j]), "meet")
 
 

@@ -363,13 +363,15 @@ def enumerate_congruences(table: MulTable,
     return sorted(found)
 
 
+def seed_pairs(t, table: MulTable):
+    """The triple's generating pairs, as element-index pairs."""
+    idx = table.index
+    return [(idx[x], idx[y]) for x, y in _triples.generating_pairs(t)]
+
+
 def realize_triple(t, table: MulTable):
     """The congruence generated by the triple's generating pairs."""
-    idx = table.index
-    seeds = []
-    for x, y in _triples.generating_pairs(t):
-        seeds.append((idx[x], idx[y]))
-    return generated_congruence(table, seeds)
+    return generated_congruence(table, seed_pairs(t, table))
 
 
 # -- the order-isomorphism check ------------------------------------------------
@@ -393,18 +395,21 @@ def verify_isomorphism(graph: Digraph,
     matching order, joins, and meets; failures carry concrete witnesses.
     Pass the graph's semigroup as table to skip building it again.
 
-    Each pair P, Q of realized partitions is compared through one set, the
-    distinct label pairs of its elements; with b(X) the number of blocks of
-    X, P ^ Q has one block per pair.  A refinement of X with b(X) blocks is
-    X, and P ^ Q refines P, so P <= Q iff the set has b(P) pairs.  This
-    computes the refinement order of the realized partitions exactly.  When
-    the bijection checks pass, those partitions are all of Con(S), so R is
-    P v Q iff it is an upper bound of P and Q below every common upper
-    bound, and dually for the meet; when they fail, the report fails
-    anyway."""
+    Each triple t_a keeps its seed pairs G_a, the generating pairs that
+    realize_triple closes, so its realized partition P_a is the least
+    congruence containing G_a.  For a congruence Q, P_a <= Q iff Q relates
+    every pair of G_a: P_a contains G_a, and Q, a congruence containing
+    G_a, contains the least one.  When the bijection checks pass, every
+    realized partition is a congruence, so this computes the refinement
+    order of the realized partitions exactly, and those partitions are all
+    of Con(S); then R is P v Q iff it is an upper bound of P and Q below
+    every common upper bound, and dually for the meet.  A join or meet that
+    leaves the element list is a mismatch too.  When the bijection checks
+    fail, the report fails anyway."""
     if table is None:
         table = build_semigroup(graph, element_cap)
     lat = enumerate_lattice(graph, lattice_cap)
+    seeds = [seed_pairs(t, table) for t in lat.elements]
     realized = [realize_triple(t, table) for t in lat.elements]
     congs = enumerate_congruences(table, element_cap, congruence_cap)
     failures = []
@@ -425,33 +430,36 @@ def verify_isomorphism(graph: Digraph,
         failures.append(f"{len(extra)} realized partitions are not congruences")
 
     n = len(lat.elements)
-    blocks = [max(part) + 1 for part in realized]
     # up[a] has bit b when realized[a] refines realized[b]; down transposes it
     up = [0] * n
     down = [0] * n
+    for a, (ta, pairs) in enumerate(zip(lat.elements, seeds)):
+        for b, (tb, part) in enumerate(zip(lat.elements, realized)):
+            order_t = _triples.leq(ta, tb)
+            order_c = all(part[x] == part[y] for x, y in pairs)
+            if order_c:
+                up[a] |= 1 << b
+                down[b] |= 1 << a
+            if order_t != order_c:
+                failures.append(f"order mismatch at {ta!r} vs {tb!r}: "
+                                f"triple {order_t}, congruence {order_c}")
+
+    def is_bound(find, rows, i, j):
+        """Is find(i, j) common to rows[i] and rows[j], with every common
+        element in its row: the join for up rows, the meet for down rows?"""
+        try:
+            r = find(i, j)
+        except ValueError:  # the calculus left the element list
+            return False
+        common = rows[i] & rows[j]
+        return common >> r & 1 and common & ~rows[r] == 0
+
     for i in range(n):
         for j in range(i, n):
-            meet_blocks = len(set(zip(realized[i], realized[j])))
-            for a, b in ((i, j), (j, i)) if i < j else ((i, i),):
-                order_t = _triples.leq(lat.elements[a], lat.elements[b])
-                order_c = meet_blocks == blocks[a]
-                if order_c:
-                    up[a] |= 1 << b
-                    down[b] |= 1 << a
-                if order_t != order_c:
-                    failures.append(
-                        f"order mismatch at {lat.elements[a]!r} vs "
-                        f"{lat.elements[b]!r}: triple {order_t}, congruence {order_c}")
-    for i in range(n):
-        for j in range(i, n):
-            r = lat.join_idx(i, j)
-            common = up[i] & up[j]
-            if not (common >> r & 1 and common & ~up[r] == 0):
+            if not is_bound(lat.join_idx, up, i, j):
                 failures.append(
                     f"join mismatch at {lat.elements[i]!r}, {lat.elements[j]!r}")
-            m = lat.meet_idx(i, j)
-            common = down[i] & down[j]
-            if not (common >> m & 1 and common & ~down[m] == 0):
+            if not is_bound(lat.meet_idx, down, i, j):
                 failures.append(
                     f"meet mismatch at {lat.elements[i]!r}, {lat.elements[j]!r}")
 

@@ -8,10 +8,13 @@ atoms under joins, the pentagon and diamond sublattice finders, and the
 join closure of generating sets over all pairs found.  The semigroup
 oracle's congruence closure and enumeration have their direct versions at
 the end, with the partition meet and refinement test that the isomorphism
-check replaced by block counts, and the associativity check over all
-triples that Light's test replaced.  They are slow and only serve as ground
-truth.
+check no longer needs, and the associativity check over all triples that
+Light's test replaced.  They are slow and only serve as ground truth.  The
+library answers every join and meet afresh, so the oracles that repeat
+pairs share one memo per lattice.
 """
+
+from functools import cache
 
 from gislat.graphs import bits
 from gislat.lattice import FiniteLattice
@@ -48,13 +51,22 @@ def transitive_reduction(up):
     return cover_up
 
 
+def memoised(lat: FiniteLattice):
+    """lat's join_idx and meet_idx, each ordered pair computed once however
+    many oracles ask: the memo is kept on the lattice."""
+    if "oracle_memo" not in vars(lat):
+        lat.oracle_memo = cache(lat.join_idx), cache(lat.meet_idx)
+    return lat.oracle_memo
+
+
 def upper_semimodular(lat: FiniteLattice) -> bool:
     """Over all pairs: whenever a ^ b is covered by a and b, a v b covers both."""
+    join, meet = memoised(lat)
     for a in range(lat.n):
         for b in range(a + 1, lat.n):
-            m = lat.meet_idx(a, b)
+            m = meet(a, b)
             if lat.is_cover(m, a) and lat.is_cover(m, b):
-                j = lat.join_idx(a, b)
+                j = join(a, b)
                 if not (lat.is_cover(a, j) and lat.is_cover(b, j)):
                     return False
     return True
@@ -62,11 +74,12 @@ def upper_semimodular(lat: FiniteLattice) -> bool:
 
 def lower_semimodular(lat: FiniteLattice) -> bool:
     """Over all pairs: whenever a v b covers a and b, both cover a ^ b."""
+    join, meet = memoised(lat)
     for a in range(lat.n):
         for b in range(a + 1, lat.n):
-            j = lat.join_idx(a, b)
+            j = join(a, b)
             if lat.is_cover(a, j) and lat.is_cover(b, j):
-                m = lat.meet_idx(a, b)
+                m = meet(a, b)
                 if not (lat.is_cover(m, a) and lat.is_cover(m, b)):
                     return False
     return True
@@ -74,40 +87,40 @@ def lower_semimodular(lat: FiniteLattice) -> bool:
 
 def modular(lat: FiniteLattice) -> bool:
     """The modular law over all triples: a <= c forces (a v b) ^ c = a v (b ^ c)."""
+    join, meet = memoised(lat)
     for a in range(lat.n):
         for c in bits(lat.up[a]):
             for b in range(lat.n):
-                if lat.meet_idx(lat.join_idx(a, b), c) != \
-                        lat.join_idx(a, lat.meet_idx(b, c)):
+                if meet(join(a, b), c) != join(a, meet(b, c)):
                     return False
     return True
 
 
 def distributive(lat: FiniteLattice) -> bool:
     """Both distributive laws over all triples."""
+    join, meet = memoised(lat)
     for a in range(lat.n):
         for b in range(lat.n):
-            ab_meet = lat.meet_idx(a, b)
-            ab_join = lat.join_idx(a, b)
+            ab_meet = meet(a, b)
+            ab_join = join(a, b)
             for c in range(lat.n):
-                if lat.meet_idx(a, lat.join_idx(b, c)) != \
-                        lat.join_idx(ab_meet, lat.meet_idx(a, c)):
+                if meet(a, join(b, c)) != join(ab_meet, meet(a, c)):
                     return False
-                if lat.join_idx(a, lat.meet_idx(b, c)) != \
-                        lat.meet_idx(ab_join, lat.join_idx(a, c)):
+                if join(a, meet(b, c)) != meet(ab_join, join(a, c)):
                     return False
     return True
 
 
 def atomistic(lat: FiniteLattice) -> bool:
     """Close the atoms and the bottom under joins; is that everything?"""
+    join, _ = memoised(lat)
     closed = {lat.bottom}
     frontier = list(lat.atoms_idx())
     closed.update(frontier)
     while frontier:
         a = frontier.pop()
         for b in list(closed):
-            j = lat.join_idx(a, b)
+            j = join(a, b)
             if j not in closed:
                 closed.add(j)
                 frontier.append(j)
@@ -130,18 +143,19 @@ def find_pentagon(lat: FiniteLattice):
     """Test oracle: a 5-element pentagon sublattice as indices
     (0, a, b, c, 1) with 0 < a < b < 1 and 0 < c < 1, or None, by a cubic
     scan.  Exists iff the lattice is not modular."""
+    join, meet = memoised(lat)
     for x in range(lat.n):
         for z in bits(lat.up[x] & ~(1 << x)):
             for y in range(lat.n):
-                a = lat.join_idx(x, lat.meet_idx(y, z))
-                b = lat.meet_idx(lat.join_idx(x, y), z)
+                a = join(x, meet(y, z))
+                b = meet(join(x, y), z)
                 if a == b:
                     continue
-                bot = lat.meet_idx(a, y)
-                top = lat.join_idx(b, y)
+                bot = meet(a, y)
+                top = join(b, y)
                 five = {bot, a, b, y, top}
-                if len(five) == 5 and lat.meet_idx(b, y) == bot \
-                        and lat.join_idx(a, y) == top and lat.leq_idx(a, b):
+                if len(five) == 5 and meet(b, y) == bot \
+                        and join(a, y) == top and lat.leq_idx(a, b):
                     return (bot, a, b, y, top)
     return None
 
@@ -150,15 +164,16 @@ def find_diamond(lat: FiniteLattice):
     """Test oracle: a 5-element diamond sublattice as indices
     (bottom, x, y, z, top), or None, by a cubic scan.  A modular lattice
     without one is distributive."""
+    join, meet = memoised(lat)
     for x in range(lat.n):
         for y in range(x + 1, lat.n):
             if lat.leq_idx(x, y) or lat.leq_idx(y, x):
                 continue
-            top = lat.join_idx(x, y)
-            bot = lat.meet_idx(x, y)
+            top = join(x, y)
+            bot = meet(x, y)
             for z in range(y + 1, lat.n):
-                if lat.join_idx(x, z) == top == lat.join_idx(y, z) \
-                        and lat.meet_idx(x, z) == bot == lat.meet_idx(y, z) \
+                if join(x, z) == top == join(y, z) \
+                        and meet(x, z) == bot == meet(y, z) \
                         and z != top and z != bot:
                     return (bot, x, y, z, top)
     return None
@@ -167,12 +182,13 @@ def find_diamond(lat: FiniteLattice):
 def join_closure(lat: FiniteLattice, idxs):
     """Join closure of the given element indices and the bottom, joining
     every new element with everything found so far."""
+    join, _ = memoised(lat)
     closed = set(idxs) | {lat.bottom}
     frontier = list(closed)
     while frontier:
         a = frontier.pop()
         for b in list(closed):
-            j = lat.join_idx(a, b)
+            j = join(a, b)
             if j not in closed:
                 closed.add(j)
                 frontier.append(j)

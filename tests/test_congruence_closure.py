@@ -4,12 +4,14 @@ translations, the principal congruences closed from closed translates
 against one closure per pair, the enumeration by principal joins against
 the found x found join closure, and the helpers it rests on."""
 
+import json
 import random
 from types import SimpleNamespace
 
 import pytest
 
 from gislat import oracle
+from gislat.cli import format_graph, main
 from gislat.graphs import CapExceeded, build_graph
 from gislat.oracle import (associativity_violations, build_semigroup,
                            enumerate_congruences, generated_congruence,
@@ -211,10 +213,18 @@ def test_verify_isomorphism_longer_paths(k, size, congruences):
     assert report.lattice_size == report.congruence_count == congruences
 
 
+def inject(monkeypatch, lat, name, i, j, k):
+    """Make lat's join_idx or meet_idx (name) answer k for the pair i, j,
+    either way round, and every other pair as before."""
+    real = getattr(lat, name)
+    monkeypatch.setattr(lat, name,
+                        lambda a, b: k if {a, b} == {i, j} else real(a, b))
+
+
 def test_verify_isomorphism_reports_wrong_joins_and_meets(monkeypatch):
-    """One wrong cached meet and one wrong cached join in the triple lattice
-    are each reported, even when the wrong meet lies below both elements
-    and the wrong join above both."""
+    """One wrong meet and one wrong join in the triple lattice are each
+    reported, even when the wrong meet lies below both elements and the
+    wrong join above both."""
     real = oracle.enumerate_lattice
     wrong = {}
 
@@ -223,8 +233,8 @@ def test_verify_isomorphism_reports_wrong_joins_and_meets(monkeypatch):
         for i, j in all_pairs(lat.n):
             meet, join = lat.meet_idx(i, j), lat.join_idx(i, j)
             if meet not in (i, j, lat.bottom) and join != lat.top:
-                lat._meets[i, j] = lat.bottom
-                lat._joins[i, j] = lat.top
+                inject(monkeypatch, lat, "meet_idx", i, j, lat.bottom)
+                inject(monkeypatch, lat, "join_idx", i, j, lat.top)
                 wrong["pair"] = lat.elements[i], lat.elements[j]
                 return lat
         raise AssertionError("no pair to corrupt")
@@ -235,6 +245,46 @@ def test_verify_isomorphism_reports_wrong_joins_and_meets(monkeypatch):
     assert not report.passed
     assert report.failures == [f"join mismatch at {a!r}, {b!r}",
                                f"meet mismatch at {a!r}, {b!r}"]
+
+
+def test_verify_isomorphism_reports_join_outside_the_lattice(
+        monkeypatch, tmp_path, capsys):
+    """A calculus join that is no element of the lattice, here a triple of
+    another graph, is one join mismatch naming the pair, and `gislat
+    oracle` reports it as a FAIL with exit 1, not as an input error."""
+    g = make_split_graph()
+    lat = oracle.enumerate_lattice(g, oracle.DEFAULT_LATTICE_CAP)
+    a, b = lat.elements[1], lat.elements[2]
+    foreign = oracle.enumerate_lattice(path(2), oracle.DEFAULT_LATTICE_CAP)
+    real = oracle._triples.join
+    monkeypatch.setattr(
+        oracle._triples, "join",
+        lambda s, t: foreign.elements[-1] if (s, t) == (a, b) else real(s, t))
+    report = verify_isomorphism(g)
+    assert report.failures == [f"join mismatch at {a!r}, {b!r}"]
+
+    graph_file = tmp_path / "split.graph"
+    graph_file.write_text(format_graph(g))
+    assert main(["oracle", str(graph_file), "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == "FAIL"
+    assert doc["failures"] == [f"join mismatch at {a!r}, {b!r}"]
+
+
+def test_seed_pair_order_is_the_refinement_order(monkeypatch):
+    """The order verify_isomorphism reads off seed pairs is the refinement
+    order of the realized congruences: with the triple order replaced by
+    oracles.refines on those congruences, no ordered pair mismatches, on
+    the criterion-02 sweep and on the paths with 5 to 7 vertices."""
+    for g in sweep_graphs() + [path(k) for k in (5, 6, 7)]:
+        table = build_semigroup(g)
+        lat = oracle.enumerate_lattice(g, oracle.DEFAULT_LATTICE_CAP)
+        realized = {t: oracle.realize_triple(t, table) for t in lat.elements}
+        monkeypatch.setattr(
+            oracle._triples, "leq",
+            lambda s, t: oracles.refines(realized[s], realized[t]))
+        report = verify_isomorphism(g, table=table)
+        assert report.failures == [], g
 
 
 @pytest.fixture
@@ -277,7 +327,7 @@ def test_verify_isomorphism_reports_join_not_above_both(monkeypatch,
         (i, j, k) for i, j in all_pairs(lat.n) for k in range(lat.n)
         if k != lat.join_idx(i, j) and blocks[k] == blocks[lat.join_idx(i, j)]
         and not (lat.leq_idx(i, k) and lat.leq_idx(j, k)))
-    lat._joins[i, j] = k
+    inject(monkeypatch, lat, "join_idx", i, j, k)
     monkeypatch.setattr(oracle, "enumerate_lattice", lambda graph, cap: lat)
     report = verify_isomorphism(g)
     a, b = lat.elements[i], lat.elements[j]
@@ -293,7 +343,7 @@ def test_verify_isomorphism_reports_meet_not_below_both(monkeypatch,
         (i, j, k) for i, j in all_pairs(lat.n) for k in range(lat.n)
         if k != lat.meet_idx(i, j) and blocks[k] == blocks[lat.meet_idx(i, j)]
         and not (lat.leq_idx(k, i) and lat.leq_idx(k, j)))
-    lat._meets[i, j] = k
+    inject(monkeypatch, lat, "meet_idx", i, j, k)
     monkeypatch.setattr(oracle, "enumerate_lattice", lambda graph, cap: lat)
     report = verify_isomorphism(g)
     a, b = lat.elements[i], lat.elements[j]
@@ -302,14 +352,15 @@ def test_verify_isomorphism_reports_meet_not_below_both(monkeypatch,
 
 def test_verify_isomorphism_reports_join_and_meet_not_bounds(monkeypatch,
                                                              split_lattice):
-    """Caching one of two incomparable elements as both their join and
+    """Answering one of two incomparable elements as both their join and
     their meet gives a join below every common upper bound and a meet above
     every common lower bound, so only the checks that the join lies above
     both elements and the meet below both can catch them."""
     g, lat, _ = split_lattice
     i, j = next((i, j) for i, j in all_pairs(lat.n)
                 if not (lat.leq_idx(i, j) or lat.leq_idx(j, i)))
-    lat._joins[i, j] = lat._meets[i, j] = i
+    inject(monkeypatch, lat, "join_idx", i, j, i)
+    inject(monkeypatch, lat, "meet_idx", i, j, i)
     monkeypatch.setattr(oracle, "enumerate_lattice", lambda graph, cap: lat)
     report = verify_isomorphism(g)
     a, b = lat.elements[i], lat.elements[j]

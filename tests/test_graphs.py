@@ -3,7 +3,10 @@ from itertools import product
 
 import pytest
 
-from gislat.graphs import Digraph, build_graph, canonical_rotation, mask_of
+from gislat import graphs
+from gislat.cli import format_graph, main
+from gislat.graphs import (CapExceeded, Digraph, build_graph, canonical_rotation,
+                           mask_of)
 
 from conftest import (make_split_graph, make_loop, make_parallel_pair, make_path3,
                       make_two_loop_scc, make_atomistic_example)
@@ -230,6 +233,29 @@ def test_cycle_queries_read_the_cache_in_any_order():
         assert fresh.cycles() == brute_force_cycles(g)
         for c in fresh.cycles():
             assert fresh.cycle_sources(c) == mask_of(g.edges[e][0] for e in c)
+
+
+def complete_digraph(k):
+    names = [f"v{i}" for i in range(k)]
+    return build_graph(names, [(a, b) for a in names for b in names if a != b])
+
+
+def test_cycle_cap_names_the_phase_count_and_cap(monkeypatch, tmp_path, capsys):
+    """K4 has 20 cycles: a cap of 20 lets them through, a cap of 19 raises
+    CapExceeded, on every call, and `gislat check` exits 3 with the
+    message."""
+    monkeypatch.setattr(graphs, "CYCLE_CAP", 20)
+    assert len(complete_digraph(4).cycles()) == 20
+    monkeypatch.setattr(graphs, "CYCLE_CAP", 19)
+    g = complete_digraph(4)
+    message = "cycle enumeration found 20 cycles, more than the cap of 19"
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match=message):
+            g.cycles()
+    path = tmp_path / "k4.graph"
+    path.write_text(format_graph(g))
+    assert main(["check", str(path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_forked_vertices(split_graph):
