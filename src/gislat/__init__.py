@@ -1,9 +1,8 @@
 """Congruence lattices of graph inverse semigroups of finite multigraphs."""
 
 from .graphs import CapExceeded, Digraph, build_graph, bits, mask_of
-from .triples import (INF, WangTriple, validate, leq, join, meet,
-                      meet_no_fork, covers, downward_directed_check, atoms,
-                      generating_pairs)
+from .triples import (INF, WangTriple, leq, join, meet, meet_no_fork, covers,
+                      downward_directed_check, atoms, generating_pairs)
 from .lattice import (ConLattice, FiniteLattice, enumerate_lattice,
                       is_upper_semimodular, is_lower_semimodular, is_modular,
                       is_distributive, is_atomistic_lattice, join_irreducibles,

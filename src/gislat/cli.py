@@ -374,8 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except GraphParseError as exc:

@@ -15,9 +15,9 @@ from .triples import WangTriple
 
 # Every element keeps two n-bit cover rows, and two more order rows once
 # something reads them, so memory grows as n squared.  On a 2-core machine
-# the 39,936-element lattice of a 16-vertex DAG enumerates in 1.2–2.0 s
-# at 279 MB peak RSS, and `gislat lattice --json --properties` takes
-# 3.9–5.6 s at 358 MB on it; see CHANGES.md.
+# `gislat lattice` takes 1.4–1.9 s at 280 MB peak RSS on the 39,936-element
+# lattice of a 16-vertex DAG, and `--json --properties` 3.8–4.5 s at
+# 357 MB; see CHANGES.md.
 DEFAULT_LATTICE_CAP = 40_000
 
 
@@ -152,7 +152,7 @@ class ConLattice(FiniteLattice):
                 W = (W - 1) & elig
         parts.sort(key=lambda p: (p[0].bit_count(), p[0]))
         self.graph = graph
-        self.elements = [WangTriple(graph, H, W) for _, H, W in parts]
+        self.elements = [WangTriple._proved(graph, H, W, {}) for _, H, W in parts]
         self.index = {t: i for i, t in enumerate(self.elements)}
         by_union = {u: i for i, (u, _, _) in enumerate(parts)}
         cover_up = []

@@ -349,6 +349,9 @@ def enumerate_congruences(table: MulTable,
     found.update(principals)
     frontier = list(found)
     while frontier:
+        # every congruence found, the seeds too, waits here to be counted
+        if len(found) > congruence_cap:
+            raise CapExceeded(f"more than {congruence_cap} congruences")
         p = frontier.pop()
         for q, (x, y) in principals.items():
             if p[x] == p[y]:
@@ -357,9 +360,6 @@ def enumerate_congruences(table: MulTable,
             if j not in found:
                 found.add(j)
                 frontier.append(j)
-                if len(found) > congruence_cap:
-                    raise CapExceeded(
-                        f"more than {congruence_cap} congruences")
     return sorted(found)
 
 

@@ -54,7 +54,8 @@ def is_prime(n) -> bool:
 
 
 class WangTriple:
-    """An (H, W, f) triple on a fixed graph, validated at construction.
+    """An (H, W, f) triple on a fixed graph, validated at construction;
+    results the calculus proves valid are built unchecked by _proved.
 
     f is given as a mapping (or pair iterable) from canonical cycles to
     values; only finite values on cycles through W are stored, every other
@@ -93,6 +94,16 @@ class WangTriple:
                     store[c] = val
             elif val != INF:
                 raise ValueError("cycles leaving H and W must map to INF")
+        self._fill(graph, H, W, store)
+
+    @classmethod
+    def _proved(cls, graph: Digraph, H: int, W: int, store: dict) -> WangTriple:
+        """A valid triple; store holds its finite values on cycles through W."""
+        t = object.__new__(cls)
+        t._fill(graph, H, W, store)
+        return t
+
+    def _fill(self, graph, H, W, store):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "W", W)
@@ -135,32 +146,21 @@ class WangTriple:
         return f"({hs}, {ws}, {fs})"
 
 
-def validate(graph: Digraph, H: int, W: int, f=()) -> WangTriple:
-    """Construct an (H, W, f) triple, raising ValueError unless valid."""
-    return WangTriple(graph, H, W, f)
-
-
 def _same_graph(t1: WangTriple, t2: WangTriple) -> Digraph:
     if t1.graph != t2.graph:
         raise ValueError("triples live on different graphs")
     return t1.graph
 
 
-def _support_cycles(t1, t2, extra: int = 0):
-    g = t1.graph
-    mask = t1.H | t1.W | t2.H | t2.W | extra
-    return g.cycles_in(mask)
-
-
 def leq(t1: WangTriple, t2: WangTriple) -> bool:
     """The containment order: H grows, W survives outside the new H, and
     the second cycle function divides the first everywhere."""
-    _same_graph(t1, t2)
+    g = _same_graph(t1, t2)
     if t1.H & ~t2.H:
         return False
     if (t1.W & ~t2.H) & ~t2.W:
         return False
-    for c in _support_cycles(t1, t2):
+    for c in g.cycles_in(t1.H | t1.W | t2.H | t2.W):
         if not divides(t2.value(c), t1.value(c)):
             return False
     return True
@@ -176,6 +176,18 @@ def _v0(g: Digraph, t1: WangTriple, t2: WangTriple) -> int:
     return v0
 
 
+def _result(g, t1, t2, H, W, combine) -> WangTriple:
+    """The proved triple (H, W, f), f combining t1 and t2 on the cycles
+    inside H u W that leave H; every other value is forced."""
+    store = {}
+    for c in g.cycles_in(H | W):
+        if g.cycle_sources(c) & ~H:
+            val = combine(t1.value(c), t2.value(c))
+            if val != INF:
+                store[c] = val
+    return WangTriple._proved(g, H, W, store)
+
+
 def join(t1: WangTriple, t2: WangTriple) -> WangTriple:
     """Least upper bound: H1 u H2 u J, the leftover W's, and the gcd of the
     cycle functions.
@@ -188,40 +200,27 @@ def join(t1: WangTriple, t2: WangTriple) -> WangTriple:
     g = _same_graph(t1, t2)
     h12 = t1.H | t2.H
     ww = t1.W | t2.W
-    v0 = _v0(g, t1, t2)
-    reached = v0
+    j = _v0(g, t1, t2)
     grew = True
     while grew:
         grew = False
-        allowed = reached & ww
-        for v in range(g.n):
-            if reached >> v & 1:
-                continue
+        # H1 u H2 is hereditary and misses v0, so none of it can enter J
+        for v in bits(ww & ~h12 & ~j):
             for e in g.out_edges[v]:
-                if allowed >> g.edges[e][1] & 1:
-                    reached |= 1 << v
+                if j >> g.edges[e][1] & 1:
+                    j |= 1 << v
                     grew = True
                     break
-    j = reached & ww & ~h12
     H = h12 | j
-    W = ww & ~H
-    f = {}
-    for c in _support_cycles(t1, t2, H | W):
-        f[c] = ext_gcd(t1.value(c), t2.value(c))
-    return WangTriple(g, H, W, f)
+    return _result(g, t1, t2, H, ww & ~H, ext_gcd)
 
 
 def meet(t1: WangTriple, t2: WangTriple) -> WangTriple:
     """Greatest lower bound: H1 n H2, the crossed-over W's minus the
     dead-end vertices, and the lcm of the cycle functions."""
     g = _same_graph(t1, t2)
-    v0 = _v0(g, t1, t2)
-    H = t1.H & t2.H
-    W = (t1.W & t2.H) | (t2.W & t1.H) | ((t1.W & t2.W) & ~v0)
-    f = {}
-    for c in _support_cycles(t1, t2, H | W):
-        f[c] = ext_lcm(t1.value(c), t2.value(c))
-    return WangTriple(g, H, W, f)
+    W = (t1.W & t2.H) | (t2.W & t1.H) | (t1.W & t2.W & ~_v0(g, t1, t2))
+    return _result(g, t1, t2, t1.H & t2.H, W, ext_lcm)
 
 
 def meet_no_fork(t1: WangTriple, t2: WangTriple) -> WangTriple:
@@ -230,12 +229,8 @@ def meet_no_fork(t1: WangTriple, t2: WangTriple) -> WangTriple:
     g = _same_graph(t1, t2)
     if g.forked_vertices():
         raise ValueError("graph has forked vertices")
-    H = t1.H & t2.H
     W = (t1.W & t2.H) | (t2.W & t1.H) | (t1.W & t2.W)
-    f = {}
-    for c in _support_cycles(t1, t2, H | W):
-        f[c] = ext_lcm(t1.value(c), t2.value(c))
-    return WangTriple(g, H, W, f)
+    return _result(g, t1, t2, t1.H & t2.H, W, ext_lcm)
 
 
 def _f_equal(t1, t2, cycles) -> bool:

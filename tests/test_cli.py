@@ -1,7 +1,11 @@
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 from time import monotonic
 
 import pytest
@@ -42,10 +46,20 @@ edge m r
 """
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_module(*args):
+    """`python -m gislat ARGS` in a fresh interpreter on this source tree."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "gislat", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def test_parse_split_graph():
@@ -381,3 +395,42 @@ def test_cmd_census(capsys):
 def test_cmd_census_bound(capsys):
     assert main(["census", "6"]) == 3
     assert "bound" in capsys.readouterr().err
+
+
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    """One process runs several commands on the one module-level parser;
+    each prints what the same command prints in a fresh interpreter."""
+    path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
+    calls = [["lattice", path, "--json"], ["lattice", path],
+             ["lattice", path, "--cap", "2"], ["check", path, "--json"]]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [0, 0, 3, 0]
+    for argv, got in zip(calls, in_process):
+        alone = run_module(*argv)
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+
+
+def test_usage_error_leaves_the_parser_usable(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
+    assert main(["lattice", path, "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["elements"]) == 14
+
+
+def test_module_entry_point(tmp_path):
+    split = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
+    done = run_module("check", split, "--json")
+    assert done.returncode == 0
+    assert '"format": 1' in done.stdout
+    done = run_module("lattice")
+    assert done.returncode == 2
+    assert "usage:" in done.stderr
+    loop = write(tmp_path, "loop.graph", LOOP_TEXT)
+    assert run_module("lattice", loop).returncode == 2

@@ -1,0 +1,55 @@
+"""Property tests of the triple calculus on small cyclic multigraphs, with
+loops, back edges, parallel edges and non-trivial cycle functions."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from gislat.graphs import Digraph
+from gislat.triples import INF, WangTriple, meet, meet_no_fork
+
+from test_triples import lattice_law_suite
+
+VALUES = (1, 2, 3, 4, 6, 12, INF)
+
+
+@st.composite
+def multigraphs(draw, max_n=4, max_m=7):
+    """Any edges i -> j, loops and repeats included."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_m))
+    return Digraph([f"v{i}" for i in range(n)], edges)
+
+
+@st.composite
+def triples_on(draw, g):
+    """H hereditary, W eligible for H, f drawn on the cycles through W."""
+    H = draw(st.sampled_from(g.hereditary_sets()))
+    eligible = [v for v in range(g.n)
+                if not H >> v & 1 and g.out_degree_minus(v, H) == 1]
+    picks = draw(st.lists(st.booleans(), min_size=len(eligible),
+                          max_size=len(eligible)))
+    W = sum(1 << v for v, pick in zip(eligible, picks) if pick)
+    free = [c for c in g.cycles_in(H | W) if g.cycle_sources(c) & ~H]
+    values = draw(st.lists(st.sampled_from(VALUES), min_size=len(free),
+                           max_size=len(free)))
+    return WangTriple(g, H, W, dict(zip(free, values)))
+
+
+@st.composite
+def graph_and_triples(draw):
+    g = draw(multigraphs())
+    return g, draw(st.lists(triples_on(g), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(graph_and_triples())
+def test_calculus_laws_on_cyclic_multigraphs(drawn):
+    g, ts = drawn
+    lattice_law_suite(ts)
+    if not g.forked_vertices():
+        for t1 in ts:
+            for t2 in ts:
+                assert meet_no_fork(t1, t2) == meet(t1, t2)

@@ -119,6 +119,13 @@ def test_hereditary_sets_small():
     assert make_loop().hereditary_sets() == [0, 1]
 
 
+def test_hereditary_sets_cap_names_the_cap():
+    # the split graph has 6 hereditary sets; a fresh graph caches none yet
+    with pytest.raises(CapExceeded, match="more than 5 hereditary sets"):
+        make_split_graph().hereditary_sets(cap=5)
+    assert len(make_split_graph().hereditary_sets(cap=6)) == 6
+
+
 def test_hereditary_sets_match_brute_force():
     rnd = random.Random(3)
     for _ in range(40):

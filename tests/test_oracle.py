@@ -79,6 +79,17 @@ def test_congruence_cap(split_graph):
         enumerate_congruences(build_semigroup(split_graph), element_cap=5)
 
 
+def test_congruence_count_cap(split_graph):
+    # both congruences of the one-vertex graph are seeds: the diagonal and
+    # its one principal congruence
+    for g, count in ((split_graph, 14), (build_graph(["v"], []), 2)):
+        table = build_semigroup(g)
+        with pytest.raises(CapExceeded,
+                           match=f"more than {count - 1} congruences"):
+            enumerate_congruences(table, congruence_cap=count - 1)
+        assert len(enumerate_congruences(table, congruence_cap=count)) == count
+
+
 def test_congruences_are_compatible_and_closed(path3):
     table = build_semigroup(path3)
     n = len(table)

@@ -4,7 +4,7 @@ from gislat.graphs import build_graph
 from gislat.triples import (INF, WangTriple, atoms, covers,
                             downward_directed_check, divides, ext_gcd,
                             ext_lcm, generating_pairs, is_prime, join, leq,
-                            meet, meet_no_fork, validate, vertex_element)
+                            meet, meet_no_fork, vertex_element)
 from gislat.census import acyclic_multigraphs
 
 from conftest import make_path3
@@ -47,29 +47,29 @@ def test_extended_divisibility():
 
 
 def test_validate(split_graph, loop):
-    t = validate(split_graph, split_graph.vertex_set("c"), split_graph.vertex_set("b"))
+    t = WangTriple(split_graph, split_graph.vertex_set("c"), split_graph.vertex_set("b"))
     assert t.H == split_graph.vertex_set("c")
     with pytest.raises(ValueError):
-        validate(split_graph, 0, split_graph.vertex_set("b"))
-    t = validate(loop, 0, 1, {(0,): 6})
+        WangTriple(split_graph, 0, split_graph.vertex_set("b"))
+    t = WangTriple(loop, 0, 1, {(0,): 6})
     assert t.value((0,)) == 6
 
 
 def test_validate_rejects_bad_f(loop):
     with pytest.raises(ValueError):
-        validate(loop, 1, 0, {(0,): 6})  # cycle inside H must map to 1
+        WangTriple(loop, 1, 0, {(0,): 6})  # cycle inside H must map to 1
     with pytest.raises(ValueError):
-        validate(loop, 0, 0, {(0,): 6})  # cycle outside H u W must map to INF
+        WangTriple(loop, 0, 0, {(0,): 6})  # cycle outside H u W must map to INF
     with pytest.raises(ValueError):
-        validate(loop, 0, 1, {(0,): 0})
+        WangTriple(loop, 0, 1, {(0,): 0})
     with pytest.raises(ValueError):
-        validate(loop, 0, 1, {(1, 2): 3})
+        WangTriple(loop, 0, 1, {(1, 2): 3})
 
 
 def test_f_normalisation(loop):
-    assert validate(loop, 0, 1, {(0,): INF}).f == ()
-    assert validate(loop, 1, 0, {(0,): 1}).f == ()
-    assert validate(loop, 0, 1, {(0,): 4}).f == (((0,), 4),)
+    assert WangTriple(loop, 0, 1, {(0,): INF}).f == ()
+    assert WangTriple(loop, 1, 0, {(0,): 1}).f == ()
+    assert WangTriple(loop, 0, 1, {(0,): 4}).f == (((0,), 4),)
 
 
 def test_generating_pairs_split_graph(split_graph):
@@ -204,15 +204,29 @@ def test_downward_directed_check():
         downward_directed_check(bottom, WangTriple(g, 0, g.vertex_set("a")))
 
 
+def assert_calculus_result(r, t1, t2, combine):
+    """r passes the validating constructor and takes, on every cycle, the
+    combined values of t1 and t2: the checks join and the meets skip."""
+    g = r.graph
+    assert WangTriple(g, r.H, r.W, dict(r.f)) == r
+    for c in g.cycles():
+        assert r.value(c) == combine(t1.value(c), t2.value(c)), (t1, t2, c)
+
+
 def lattice_law_suite(ts):
     for t1 in ts:
         assert join(t1, t1) == t1 and meet(t1, t1) == t1
+        fork_free = not t1.graph.forked_vertices()
         for t2 in ts:
             j, m = join(t1, t2), meet(t1, t2)
             assert j == join(t2, t1) and m == meet(t2, t1)
             assert leq(t1, j) and leq(m, t1)
             assert join(t1, m) == t1 and meet(t1, j) == t1
             assert leq(t1, t2) == (j == t2) == (m == t1)
+            assert_calculus_result(j, t1, t2, ext_gcd)
+            assert_calculus_result(m, t1, t2, ext_lcm)
+            if fork_free:
+                assert_calculus_result(meet_no_fork(t1, t2), t1, t2, ext_lcm)
 
 
 def test_lattice_laws_acyclic_multigraphs():

@@ -34,6 +34,8 @@ def test_union_determines_triple_and_order(g):
         largest = sum(1 << v for v in range(g.n)
                       if u >> v & 1 and g.reach[v] & ~u == 0)
         assert t.H == largest
+        # ConLattice skips validation; the public constructor agrees
+        assert triples.WangTriple(g, t.H, t.W) == t
     for a, (ta, ua) in enumerate(zip(lat.elements, unions)):
         assert lat.up[a] == sum(1 << b for b, ub in enumerate(unions)
                                 if ua & ~ub == 0)
