@@ -150,7 +150,8 @@ class Digraph:
 
         Computed by closing {empty} under union with principal down-sets;
         raises CapExceeded when more than cap sets appear (the count can be
-        exponential in the number of vertices).
+        exponential in the number of vertices), whether or not the sets are
+        cached.
         """
         if self._hereditary is None:
             sets = {0}
@@ -162,6 +163,8 @@ class Digraph:
                         f"more than {cap} hereditary sets")
             self._set("_hereditary",
                       tuple(sorted(sets, key=lambda h: (h.bit_count(), h))))
+        elif len(self._hereditary) > cap:
+            raise CapExceeded(f"more than {cap} hereditary sets")
         return list(self._hereditary)
 
     def is_downward_directed(self, H: int) -> bool:

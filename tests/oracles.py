@@ -9,12 +9,14 @@ join closure of generating sets over all pairs found.  The semigroup
 oracle's congruence closure and enumeration have their direct versions at
 the end, with the partition meet and refinement test that the isomorphism
 check no longer needs, and the associativity check over all triples that
-Light's test replaced.  They are slow and only serve as ground truth.  The
-library answers every join and meet afresh, so the oracles that repeat
-pairs share one memo per lattice.
+Light's test replaced.  Last comes the census canonical form over all n!
+vertex permutations, which colour refinement replaced.  They are slow and
+only serve as ground truth.  The library answers every join and meet
+afresh, so the oracles that repeat pairs share one memo per lattice.
 """
 
 from functools import cache
+from itertools import permutations
 
 from gislat.graphs import bits
 from gislat.lattice import FiniteLattice
@@ -323,3 +325,11 @@ def all_pairs_congruences(table, principals=None):
                 found.add(j)
                 frontier.append(j)
     return sorted(found)
+
+
+def canonical_form_bruteforce(n, edges):
+    """Test oracle: least (n, sorted relabelled edges) over all n! vertex
+    permutations, kept only to check census.canonical_form against."""
+    edges = list(edges)
+    return (n, min(tuple(sorted((perm[s], perm[r]) for s, r in edges))
+                   for perm in permutations(range(n))))

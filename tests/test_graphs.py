@@ -126,6 +126,14 @@ def test_hereditary_sets_cap_names_the_cap():
     assert len(make_split_graph().hereditary_sets(cap=6)) == 6
 
 
+def test_hereditary_sets_cap_holds_once_cached():
+    g = make_split_graph()
+    assert len(g.hereditary_sets()) == 6
+    with pytest.raises(CapExceeded, match="more than 5 hereditary sets"):
+        g.hereditary_sets(cap=5)
+    assert len(g.hereditary_sets(cap=6)) == 6
+
+
 def test_hereditary_sets_match_brute_force():
     rnd = random.Random(3)
     for _ in range(40):
