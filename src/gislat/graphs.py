@@ -9,7 +9,12 @@ from __future__ import annotations
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration grew past its configured cap."""
+    """An enumeration grew past its cap: what names the things counted,
+    size is the count it had reached when it stopped, and cap the limit."""
+
+    def __init__(self, what: str, size: int, cap: int):
+        super().__init__(f"{size} {what}, more than the cap of {cap}")
+        self.what, self.size, self.cap = what, size, cap
 
 
 HEREDITARY_CAP = 1 << 20
@@ -145,27 +150,32 @@ class Digraph:
             closure |= self.reach[v]
         return closure
 
-    def hereditary_sets(self, cap: int = HEREDITARY_CAP):
-        """All hereditary vertex sets, sorted by (size, bit pattern).
-
-        Computed by closing {empty} under union with principal down-sets;
-        raises CapExceeded when more than cap sets appear (the count can be
-        exponential in the number of vertices), whether or not the sets are
-        cached.
-        """
+    def hereditary_sets(self):
+        """All hereditary vertex sets, sorted by (size, bit pattern); raises
+        CapExceeded past HEREDITARY_CAP sets (the count can be exponential in
+        the number of vertices), whether or not the sets are cached."""
         if self._hereditary is None:
-            sets = {0}
-            for v in range(self.n):
-                down = self.reach[v]
-                sets |= {s | down for s in sets}
-                if len(sets) > cap:
-                    raise CapExceeded(
-                        f"more than {cap} hereditary sets")
+            sets = self.hereditary_interval(0, self.full)
             self._set("_hereditary",
                       tuple(sorted(sets, key=lambda h: (h.bit_count(), h))))
-        elif len(self._hereditary) > cap:
-            raise CapExceeded(f"more than {cap} hereditary sets")
+        elif len(self._hereditary) > HEREDITARY_CAP:
+            raise CapExceeded("hereditary sets", len(self._hereditary),
+                              HEREDITARY_CAP)
         return list(self._hereditary)
+
+    def hereditary_interval(self, low: int, high: int):
+        """The set of hereditary H with low ⊆ H ⊆ high, for hereditary low
+        and high: {low} closed under union with reach[v] for v in high \\ low,
+        each reach[v] lying inside high.  Raises CapExceeded past
+        HEREDITARY_CAP sets."""
+        cap = HEREDITARY_CAP
+        sets = {low}
+        # the vertices of one strongly connected component share a down-set
+        for down in {self.reach[v] for v in bits(high & ~low)}:
+            sets |= {s | down for s in sets}
+            if len(sets) > cap:
+                raise CapExceeded("hereditary sets", len(sets), cap)
+        return sets
 
     def is_downward_directed(self, H: int) -> bool:
         """Is H nonempty with a common lower bound in H for every pair?"""
@@ -239,9 +249,7 @@ class Digraph:
                         if w == start:
                             found.append(canonical_rotation(path + (e,)))
                             if len(found) > cap:
-                                raise CapExceeded(
-                                    f"cycle enumeration found {len(found)} "
-                                    f"cycles, more than the cap of {cap}")
+                                raise CapExceeded("cycles", len(found), cap)
                         elif w > start and not visited >> w & 1:
                             stack.append((w, path + (e,), visited | 1 << w))
             found.sort()

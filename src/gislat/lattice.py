@@ -140,8 +140,7 @@ class ConLattice(FiniteLattice):
         eligible = eligible_sets(graph)
         total = sum(1 << elig.bit_count() for _, elig in eligible)
         if total > cap:
-            raise CapExceeded(f"lattice would have {total} elements, "
-                              f"more than the cap of {cap}")
+            raise CapExceeded("lattice elements", total, cap)
         parts = []
         for H, elig in eligible:
             W = elig

@@ -17,11 +17,12 @@ from . import triples as _triples
 from .lattice import DEFAULT_LATTICE_CAP, enumerate_lattice
 
 DEFAULT_ELEMENT_CAP = 300
-DEFAULT_CONGRUENCE_CAP = 20000
+CONGRUENCE_CAP = 20000
 
 
-def all_paths(graph: Digraph, cap: int | None = None):
-    """Every path of an acyclic graph, the vertices as length-0 paths."""
+def all_paths(graph: Digraph, cap: int = DEFAULT_ELEMENT_CAP):
+    """Every path of an acyclic graph, the vertices as length-0 paths;
+    raises CapExceeded when more than cap paths appear."""
     paths = [(v, ()) for v in range(graph.n)]
     frontier = list(paths)
     while frontier:
@@ -31,8 +32,8 @@ def all_paths(graph: Digraph, cap: int | None = None):
             q = (p[0], p[1] + (e,))
             paths.append(q)
             frontier.append(q)
-            if cap is not None and len(paths) > cap:
-                raise CapExceeded(f"more than {cap} paths")
+            if len(paths) > cap:
+                raise CapExceeded("paths", len(paths), cap)
     return paths
 
 
@@ -109,7 +110,7 @@ def build_semigroup(graph: Digraph, element_cap: int = DEFAULT_ELEMENT_CAP) -> M
         by_range.setdefault(graph.path_range(p), []).append(p)
     count = 1 + sum(len(ps) ** 2 for ps in by_range.values())
     if count > element_cap:
-        raise CapExceeded(f"semigroup has {count} elements, cap {element_cap}")
+        raise CapExceeded("semigroup elements", count, element_cap)
     elements = [None]
     for v in sorted(by_range):
         ps = sorted(by_range[v])
@@ -330,28 +331,26 @@ def partition_join(l1, l2):
     return tuple(map(labels.__getitem__, l1))
 
 
-def enumerate_congruences(table: MulTable,
-                          element_cap: int = DEFAULT_ELEMENT_CAP,
-                          congruence_cap: int = DEFAULT_CONGRUENCE_CAP):
+def enumerate_congruences(table: MulTable):
     """Every congruence exactly once, sorted: the diagonal and the principal
-    congruences, closed under joining with a principal congruence.
+    congruences, closed under joining with a principal congruence.  The
+    table's size was capped where it was built; the count of congruences
+    is capped at CONGRUENCE_CAP.
 
     Every congruence of a finite semigroup is the join of the principal
     congruences Cg(x, y) over its pairs, so a finite join of principals,
     and P1 v ... v Pk is reached from P1 v ... v Pk-1 by one join with Pk.
     A join with Cg(x, y) is skipped when x and y already share a block of
     p, since then Cg(x, y) lies below p and the join is p itself."""
-    n = len(table)
-    if n > element_cap:
-        raise CapExceeded(f"semigroup has {n} elements, cap {element_cap}")
+    cap = CONGRUENCE_CAP
     principals = principal_congruences(table)
-    found = {tuple(range(n))}
+    found = {tuple(range(len(table)))}
     found.update(principals)
     frontier = list(found)
     while frontier:
         # every congruence found, the seeds too, waits here to be counted
-        if len(found) > congruence_cap:
-            raise CapExceeded(f"more than {congruence_cap} congruences")
+        if len(found) > cap:
+            raise CapExceeded("congruences", len(found), cap)
         p = frontier.pop()
         for q, (x, y) in principals.items():
             if p[x] == p[y]:
@@ -387,13 +386,13 @@ class IsoReport:
 
 
 def verify_isomorphism(graph: Digraph,
-                       element_cap: int = DEFAULT_ELEMENT_CAP,
-                       congruence_cap: int = DEFAULT_CONGRUENCE_CAP,
                        lattice_cap: int = DEFAULT_LATTICE_CAP,
                        table: MulTable | None = None) -> IsoReport:
     """Check that triples map bijectively onto the semigroup's congruences,
     matching order, joins, and meets; failures carry concrete witnesses.
-    Pass the graph's semigroup as table to skip building it again.
+    Pass the graph's semigroup as table to skip building it again; the
+    table carries its own element cap, and without one the semigroup is
+    built under DEFAULT_ELEMENT_CAP.
 
     Each triple t_a keeps its seed pairs G_a, the generating pairs that
     realize_triple closes, so its realized partition P_a is the least
@@ -407,11 +406,11 @@ def verify_isomorphism(graph: Digraph,
     leaves the element list is a mismatch too.  When the bijection checks
     fail, the report fails anyway."""
     if table is None:
-        table = build_semigroup(graph, element_cap)
+        table = build_semigroup(graph)
     lat = enumerate_lattice(graph, lattice_cap)
     seeds = [seed_pairs(t, table) for t in lat.elements]
     realized = [realize_triple(t, table) for t in lat.elements]
-    congs = enumerate_congruences(table, element_cap, congruence_cap)
+    congs = enumerate_congruences(table)
     failures = []
 
     by_partition = {}

@@ -266,16 +266,13 @@ def _cover_kind(t1: WangTriple, t2: WangTriple):
         return None
     if not _f_equal(t1, t2, g.cycles_in(t1.W)):
         return None
-    for h in t1.graph.hereditary_sets():
-        if h == t1.H or h == t2.H:
-            continue
-        if t1.H & ~h == 0 and h & ~t2.H == 0:
-            # strictly intermediate hereditary set: some W1-vertex outside it
-            # must have all its out-edges ranging into it
-            edges = g.edges
-            if not any(all(h >> edges[e][1] & 1 for e in g.out_edges[v])
-                       for v in bits(t1.W & ~h)):
-                return None
+    edges = g.edges
+    for h in g.hereditary_interval(t1.H, t2.H) - {t1.H, t2.H}:
+        # strictly intermediate hereditary set: some W1-vertex outside it
+        # must have all its out-edges ranging into it
+        if not any(all(h >> edges[e][1] & 1 for e in g.out_edges[v])
+                   for v in bits(t1.W & ~h)):
+            return None
     return "h"
 
 

@@ -10,12 +10,13 @@ from time import monotonic
 
 import pytest
 
-from gislat import lattice
+from gislat import graphs, lattice, oracle
 from gislat.census import connected_simple_graphs
 from gislat.cli import (GraphParseError, format_graph, lattice_dot,
                         lattice_from_json, lattice_json, lattice_properties,
-                        main, parse_graph_text, triple_from_json, triple_json)
-from gislat.graphs import Digraph, bits, build_graph
+                        main, parse_graph_text, triple_from_json, triple_json,
+                        PARSER)
+from gislat.graphs import CapExceeded, Digraph, bits, build_graph
 from gislat.lattice import FiniteLattice, enumerate_lattice
 from gislat.triples import WangTriple
 
@@ -137,11 +138,14 @@ def test_lattice_json_round_trip():
     assert lat2.cover_list() == lat.cover_list()
 
 
-def test_lattice_from_json_reads_a_lattice_above_the_default_cap(monkeypatch):
-    lat = enumerate_lattice(make_split_graph())
-    doc = lattice_json(lat)
+def test_lattice_from_json_refuses_a_lattice_above_the_default_cap(monkeypatch):
+    # a document written with a raised --cap is refused, not read past it
+    doc = lattice_json(enumerate_lattice(make_split_graph()))
     monkeypatch.setattr(lattice, "DEFAULT_LATTICE_CAP", 10)
-    assert lattice_from_json(doc).elements == lat.elements
+    with pytest.raises(CapExceeded) as info:
+        lattice_from_json(doc)
+    assert (info.value.what, info.value.size, info.value.cap) == \
+        ("lattice elements", 14, 10)
 
 
 def test_lattice_dot(tmp_path):
@@ -375,6 +379,12 @@ def test_cmd_oracle_cap(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_cmd_oracle_rejects_cycles(tmp_path, capsys):
+    path = write(tmp_path, "loop.graph", LOOP_TEXT)
+    assert main(["oracle", path]) == 2
+    assert "graph has cycles" in capsys.readouterr().err
+
+
 def test_cmd_oracle_from_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(SPLIT_TEXT))
@@ -395,6 +405,41 @@ def test_cmd_census(capsys):
 def test_cmd_census_bound(capsys):
     assert main(["census", "6"]) == 3
     assert "bound" in capsys.readouterr().err
+
+
+K4_TEXT = "".join(f"vertex v{i}\n" for i in range(4)) + "".join(
+    f"edge v{i} v{j}\n" for i in range(4) for j in range(4) if i != j)
+
+
+@pytest.mark.parametrize("text, argv, patch, what, size, cap", [
+    (K4_TEXT, ["check"], (graphs, "CYCLE_CAP", 19), "cycles", 20, 19),
+    (SPLIT_TEXT, ["lattice"], (graphs, "HEREDITARY_CAP", 5),
+     "hereditary sets", 6, 5),
+    (SPLIT_TEXT, ["lattice", "--cap", "5"], None, "lattice elements", 14, 5),
+    (SPLIT_TEXT, ["oracle", "--oracle-cap", "5"], None, "paths", 6, 5),
+    (SPLIT_TEXT, ["oracle", "--oracle-cap", "10"], None,
+     "semigroup elements", 24, 10),
+    (SPLIT_TEXT, ["oracle"], (oracle, "CONGRUENCE_CAP", 13),
+     "congruences", 14, 13),
+    (None, ["census", "6"], None, "census vertices (--bound)", 6, 5),
+], ids=["cycles", "hereditary", "lattice", "paths", "semigroup",
+        "congruences", "census"])
+def test_every_cap_exits_3_naming_what_size_and_cap(
+        text, argv, patch, what, size, cap, tmp_path, monkeypatch, capsys):
+    """Each cap a command reaches raises CapExceeded carrying what was
+    counted, the size reached and the cap, and main prints the three with
+    exit 3."""
+    if patch:
+        monkeypatch.setattr(*patch)
+    if text is not None:
+        argv = argv[:1] + [write(tmp_path, "g.graph", text)] + argv[1:]
+    args = PARSER.parse_args(argv)
+    with pytest.raises(CapExceeded) as info:
+        args.func(args)
+    assert (info.value.what, info.value.size, info.value.cap) == (what, size, cap)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == \
+        f"error: {size} {what}, more than the cap of {cap}\n"
 
 
 def test_parser_is_reused_across_calls(tmp_path, capsys):

@@ -119,19 +119,37 @@ def test_hereditary_sets_small():
     assert make_loop().hereditary_sets() == [0, 1]
 
 
-def test_hereditary_sets_cap_names_the_cap():
+def test_hereditary_sets_cap_names_the_cap(monkeypatch):
     # the split graph has 6 hereditary sets; a fresh graph caches none yet
-    with pytest.raises(CapExceeded, match="more than 5 hereditary sets"):
-        make_split_graph().hereditary_sets(cap=5)
-    assert len(make_split_graph().hereditary_sets(cap=6)) == 6
+    monkeypatch.setattr(graphs, "HEREDITARY_CAP", 5)
+    with pytest.raises(CapExceeded,
+                       match="6 hereditary sets, more than the cap of 5"):
+        make_split_graph().hereditary_sets()
+    monkeypatch.setattr(graphs, "HEREDITARY_CAP", 6)
+    assert len(make_split_graph().hereditary_sets()) == 6
 
 
-def test_hereditary_sets_cap_holds_once_cached():
+def test_hereditary_sets_cap_holds_once_cached(monkeypatch):
     g = make_split_graph()
     assert len(g.hereditary_sets()) == 6
-    with pytest.raises(CapExceeded, match="more than 5 hereditary sets"):
-        g.hereditary_sets(cap=5)
-    assert len(g.hereditary_sets(cap=6)) == 6
+    monkeypatch.setattr(graphs, "HEREDITARY_CAP", 5)
+    with pytest.raises(CapExceeded,
+                       match="6 hereditary sets, more than the cap of 5"):
+        g.hereditary_sets()
+    monkeypatch.setattr(graphs, "HEREDITARY_CAP", 6)
+    assert len(g.hereditary_sets()) == 6
+
+
+def test_hereditary_interval_is_the_sets_between():
+    rnd = random.Random(5)
+    for _ in range(40):
+        g = random_graph(rnd)
+        hs = g.hereditary_sets()
+        for low in hs:
+            for high in hs:
+                if low & ~high == 0:
+                    assert g.hereditary_interval(low, high) == {
+                        h for h in hs if low & ~h == 0 and h & ~high == 0}
 
 
 def test_hereditary_sets_match_brute_force():
@@ -263,7 +281,7 @@ def test_cycle_cap_names_the_phase_count_and_cap(monkeypatch, tmp_path, capsys):
     assert len(complete_digraph(4).cycles()) == 20
     monkeypatch.setattr(graphs, "CYCLE_CAP", 19)
     g = complete_digraph(4)
-    message = "cycle enumeration found 20 cycles, more than the cap of 19"
+    message = "20 cycles, more than the cap of 19"
     for _ in range(2):
         with pytest.raises(CapExceeded, match=message):
             g.cycles()

@@ -1,5 +1,6 @@
 import pytest
 
+from gislat import oracle
 from gislat.graphs import CapExceeded, build_graph
 from gislat.oracle import (all_paths, associativity_violations,
                            build_semigroup, enumerate_congruences,
@@ -74,20 +75,17 @@ def test_congruence_counts(split_graph, path3):
         build_graph("ab", [("a", "b")])))) == 4
 
 
-def test_congruence_cap(split_graph):
-    with pytest.raises(CapExceeded):
-        enumerate_congruences(build_semigroup(split_graph), element_cap=5)
-
-
-def test_congruence_count_cap(split_graph):
+def test_congruence_count_cap(split_graph, monkeypatch):
     # both congruences of the one-vertex graph are seeds: the diagonal and
     # its one principal congruence
     for g, count in ((split_graph, 14), (build_graph(["v"], []), 2)):
         table = build_semigroup(g)
+        monkeypatch.setattr(oracle, "CONGRUENCE_CAP", count - 1)
         with pytest.raises(CapExceeded,
-                           match=f"more than {count - 1} congruences"):
-            enumerate_congruences(table, congruence_cap=count - 1)
-        assert len(enumerate_congruences(table, congruence_cap=count)) == count
+                           match=f"congruences, more than the cap of {count - 1}"):
+            enumerate_congruences(table)
+        monkeypatch.setattr(oracle, "CONGRUENCE_CAP", count)
+        assert len(enumerate_congruences(table)) == count
 
 
 def test_congruences_are_compatible_and_closed(path3):

@@ -155,6 +155,16 @@ def test_covers_prime_quotient(loop):
     assert not covers(f12, f3)
 
 
+def test_covers_reads_only_the_interval():
+    """An H-growing cover looks only at the hereditary sets between H1 and
+    H2: 21 isolated vertices give the graph 3 * 2**21 hereditary sets, past
+    HEREDITARY_CAP, while those between {} and {a, b} are {}, {b} and
+    {a, b}."""
+    g = build_graph(["a", "b"] + [f"i{k}" for k in range(21)], [("a", "b")])
+    assert covers(WangTriple(g, 0, g.vertex_set("a")),
+                  WangTriple(g, g.vertex_set("ab"), 0))
+
+
 def test_covers_acyclic(split_graph):
     bottom = WangTriple(split_graph, 0, 0)
     ta = WangTriple(split_graph, 0, split_graph.vertex_set("a"))
