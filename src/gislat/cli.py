@@ -14,7 +14,7 @@ import re
 import sys
 from itertools import groupby
 
-from .graphs import CapExceeded, Digraph
+from .graphs import CapExceeded, Digraph, build_graph
 from . import lattice as _lattice
 from . import oracle as _oracle
 from .census import simple_graphs
@@ -124,9 +124,7 @@ def lattice_json(lat: ConLattice, properties: bool = False) -> dict:
 
 
 def lattice_from_json(doc: dict) -> ConLattice:
-    graph = Digraph(doc["vertices"],
-                    [(doc["vertices"].index(s), doc["vertices"].index(r))
-                     for s, r in doc["edges"]])
+    graph = build_graph(doc["vertices"], doc["edges"])
     # the reader keeps the default cap, whatever --cap wrote the document
     lat = enumerate_lattice(graph, _lattice.DEFAULT_LATTICE_CAP)
     elements = {triple_from_json(graph, e) for e in doc["elements"]}
@@ -373,10 +371,7 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapExceeded as exc:

@@ -18,10 +18,10 @@ class CapExceeded(RuntimeError):
 
 
 HEREDITARY_CAP = 1 << 20
-# K9, the complete digraph on 9 vertices (125,664 cycles), passes:
-# `gislat check` on it takes 1.1–1.4 s at 40 MB on a 2-core machine, and
-# on K8 (16,064) 0.2–0.3 s at 18 MB.  K10 (1,112,073) trips the cap in
-# 1.3–1.9 s at 40 MB.
+# Guards the cycle-function calculus; no command lists cycles.  On a 2-core
+# machine `cycles()` lists K9, the complete digraph on 9 vertices (125,664
+# cycles), in 1.0–1.4 s at 39 MB and K8 (16,064) in 0.13–0.15 s at 17 MB;
+# K10 (1,112,073) trips the cap in 1.2–1.3 s at 39 MB.
 CYCLE_CAP = 200_000
 
 
@@ -234,13 +234,14 @@ class Digraph:
     def cycles(self):
         """All cycles (closed paths with pairwise distinct sources) as
         canonical-rotation edge-id tuples, sorted.  Raises CapExceeded
-        when more than CYCLE_CAP cycles appear."""
+        when more than CYCLE_CAP cycles appear.  Each is found once, from
+        its least vertex s, and every vertex on it reaches s, so the search
+        stays inside the strongly connected component of s."""
         if self._cycles is None:
             cap = CYCLE_CAP
             found = []
-            edges = self.edges
+            edges, reach = self.edges, self.reach
             for start in range(self.n):
-                # each cycle is discovered once, from its least vertex
                 stack = [(start, (), 1 << start)]
                 while stack:
                     u, path, visited = stack.pop()
@@ -250,7 +251,8 @@ class Digraph:
                             found.append(canonical_rotation(path + (e,)))
                             if len(found) > cap:
                                 raise CapExceeded("cycles", len(found), cap)
-                        elif w > start and not visited >> w & 1:
+                        elif (w > start and not visited >> w & 1
+                              and reach[w] >> start & 1):
                             stack.append((w, path + (e,), visited | 1 << w))
             found.sort()
             sources = {c: mask_of(edges[e][0] for e in c) for c in found}
@@ -276,7 +278,9 @@ class Digraph:
         return [c for c in cycles if sources[c] & ~H == 0]
 
     def is_acyclic(self) -> bool:
-        return not self._cycle_tuple()
+        """Is there no cycle?  An edge s -> r closes one iff r reaches s
+        (reach is reflexive, so a loop counts)."""
+        return not any(self.reach[r] >> s & 1 for s, r in self.edges)
 
     def has_parallel_edges(self) -> bool:
         return len(set(self.edges)) < self.m

@@ -306,16 +306,15 @@ def predicate_atomistic(graph: Digraph) -> bool:
     """Per-vertex test for every congruence being a join of atoms: each
     vertex is a sink, sits above some vertex of out-degree other than one
     without lying on a cycle, or has out-degree at least two with every
-    out-range above it."""
-    on_cycle = 0
-    for c in graph.cycles():
-        on_cycle |= graph.cycle_sources(c)
+    out-range above it.  A vertex v with one out-edge v -> r lies on a
+    cycle iff r reaches v, since every cycle through v leaves by that
+    edge."""
     for v in range(graph.n):
         out = graph.out_edges[v]
         if not out:
             continue
         if len(out) == 1:
-            if on_cycle >> v & 1:
+            if graph.reach[graph.edges[out[0]][1]] >> v & 1:
                 return False
             if not any(u != v and len(graph.out_edges[u]) != 1
                        for u in bits(graph.reach[v])):

@@ -9,10 +9,12 @@ join closure of generating sets over all pairs found.  The semigroup
 oracle's congruence closure and enumeration have their direct versions at
 the end, with the partition meet and refinement test that the isomorphism
 check no longer needs, and the associativity check over all triples that
-Light's test replaced.  Last comes the census canonical form over all n!
-vertex permutations, which colour refinement replaced.  They are slow and
-only serve as ground truth.  The library answers every join and meet
-afresh, so the oracles that repeat pairs share one memo per lattice.
+Light's test replaced.  Then comes the census canonical form over all n!
+vertex permutations, which colour refinement replaced, and last the
+atomistic graph predicate over the cycle list, which reachability
+replaced.  They are slow and only serve as ground truth.  The library
+answers every join and meet afresh, so the oracles that repeat pairs share
+one memo per lattice.
 """
 
 from functools import cache
@@ -333,3 +335,24 @@ def canonical_form_bruteforce(n, edges):
     edges = list(edges)
     return (n, min(tuple(sorted((perm[s], perm[r]) for s, r in edges))
                    for perm in permutations(range(n))))
+
+
+def atomistic_predicate(graph) -> bool:
+    """lattice.predicate_atomistic with the vertices on cycles collected
+    from the cycle list."""
+    on_cycle = 0
+    for c in graph.cycles():
+        on_cycle |= graph.cycle_sources(c)
+    for v in range(graph.n):
+        out = graph.out_edges[v]
+        if not out:
+            continue
+        if len(out) == 1:
+            if on_cycle >> v & 1:
+                return False
+            if not any(u != v and len(graph.out_edges[u]) != 1
+                       for u in bits(graph.reach[v])):
+                return False
+        elif not all(graph.geq(graph.edges[e][1], v) for e in out):
+            return False
+    return True

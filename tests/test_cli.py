@@ -412,7 +412,6 @@ K4_TEXT = "".join(f"vertex v{i}\n" for i in range(4)) + "".join(
 
 
 @pytest.mark.parametrize("text, argv, patch, what, size, cap", [
-    (K4_TEXT, ["check"], (graphs, "CYCLE_CAP", 19), "cycles", 20, 19),
     (SPLIT_TEXT, ["lattice"], (graphs, "HEREDITARY_CAP", 5),
      "hereditary sets", 6, 5),
     (SPLIT_TEXT, ["lattice", "--cap", "5"], None, "lattice elements", 14, 5),
@@ -422,7 +421,7 @@ K4_TEXT = "".join(f"vertex v{i}\n" for i in range(4)) + "".join(
     (SPLIT_TEXT, ["oracle"], (oracle, "CONGRUENCE_CAP", 13),
      "congruences", 14, 13),
     (None, ["census", "6"], None, "census vertices (--bound)", 6, 5),
-], ids=["cycles", "hereditary", "lattice", "paths", "semigroup",
+], ids=["hereditary", "lattice", "paths", "semigroup",
         "congruences", "census"])
 def test_every_cap_exits_3_naming_what_size_and_cap(
         text, argv, patch, what, size, cap, tmp_path, monkeypatch, capsys):
@@ -440,6 +439,67 @@ def test_every_cap_exits_3_naming_what_size_and_cap(
     assert main(argv) == 3
     assert capsys.readouterr().err == \
         f"error: {size} {what}, more than the cap of {cap}\n"
+
+
+def test_no_command_lists_cycles(tmp_path, monkeypatch, capsys):
+    """With no cycle allowed, `check` still reports on K4, and the commands
+    that need an acyclic or simple graph refuse it as input: acyclicity is
+    read off reachability, not off a cycle list."""
+    monkeypatch.setattr(graphs, "CYCLE_CAP", 0)
+    path = write(tmp_path, "k4.graph", K4_TEXT)
+    assert main(["check", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["forked"] == [] and doc["atomistic_predicate"] is True
+    for command, message in [("lattice", "graph has cycles"),
+                             ("generators", "requires a simple graph"),
+                             ("oracle", "graph has cycles")]:
+        assert main([command, path]) == 2
+        assert message in capsys.readouterr().err
+
+
+def diamond_chain(k):
+    """k diamonds in a row, a_i -> b_i -> a_{i+1} and a_i -> c_i -> a_{i+1}:
+    a DAG with 2**k paths from a_0 to a_k."""
+    lines = ["vertex a0"]
+    for i in range(k):
+        lines += [f"vertex b{i}", f"vertex c{i}", f"vertex a{i + 1}",
+                  f"edge a{i} b{i}", f"edge a{i} c{i}",
+                  f"edge b{i} a{i + 1}", f"edge c{i} a{i + 1}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_diamond_chain_lists_no_paths(tmp_path, capsys):
+    """A cycle search that walks every path never ends on 40 diamonds;
+    one that stays inside strongly connected components does no work, and
+    the oracle's path cap trips at once."""
+    text = diamond_chain(40)
+    g = parse_graph_text(text)
+    assert (g.n, g.m) == (121, 160)
+    start = monotonic()
+    assert g.is_acyclic() and g.cycles() == []
+    path = write(tmp_path, "diamonds.graph", text)
+    assert main(["check", path]) == 0
+    assert main(["oracle", path]) == 3
+    assert monotonic() - start < 10.0
+    assert capsys.readouterr().err == \
+        "error: 301 paths, more than the cap of 300\n"
+
+
+def test_unreadable_paths_exit_2(tmp_path, capsys):
+    """A directory given as the graph file, or as the --dot file, is an
+    input error, reported without a traceback."""
+    assert main(["check", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+    path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
+    assert main(["lattice", path, "--dot", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_lattice_from_json_names_an_unknown_vertex():
+    doc = lattice_json(enumerate_lattice(make_split_graph()))
+    doc["edges"].append(["a", "z"])
+    with pytest.raises(ValueError, match="unknown vertex name 'z'"):
+        lattice_from_json(doc)
 
 
 def test_parser_is_reused_across_calls(tmp_path, capsys):

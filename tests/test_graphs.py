@@ -4,9 +4,13 @@ from itertools import product
 import pytest
 
 from gislat import graphs
-from gislat.cli import format_graph, main
+from gislat.census import acyclic_multigraphs
 from gislat.graphs import (CapExceeded, Digraph, build_graph, canonical_rotation,
                            mask_of)
+from gislat.lattice import predicate_atomistic
+from gislat.triples import WangTriple, leq
+
+import oracles
 
 from conftest import (make_split_graph, make_loop, make_parallel_pair, make_path3,
                       make_two_loop_scc, make_atomistic_example)
@@ -273,10 +277,9 @@ def complete_digraph(k):
     return build_graph(names, [(a, b) for a in names for b in names if a != b])
 
 
-def test_cycle_cap_names_the_phase_count_and_cap(monkeypatch, tmp_path, capsys):
+def test_cycle_cap_names_the_phase_count_and_cap(monkeypatch):
     """K4 has 20 cycles: a cap of 20 lets them through, a cap of 19 raises
-    CapExceeded, on every call, and `gislat check` exits 3 with the
-    message."""
+    CapExceeded, on every call, and so does the calculus that reads them."""
     monkeypatch.setattr(graphs, "CYCLE_CAP", 20)
     assert len(complete_digraph(4).cycles()) == 20
     monkeypatch.setattr(graphs, "CYCLE_CAP", 19)
@@ -285,10 +288,39 @@ def test_cycle_cap_names_the_phase_count_and_cap(monkeypatch, tmp_path, capsys):
     for _ in range(2):
         with pytest.raises(CapExceeded, match=message):
             g.cycles()
-    path = tmp_path / "k4.graph"
-    path.write_text(format_graph(g))
-    assert main(["check", str(path)]) == 3
-    assert message in capsys.readouterr().err
+    bottom = WangTriple(g, 0, 0)
+    with pytest.raises(CapExceeded) as info:
+        leq(bottom, bottom)
+    assert (info.value.what, info.value.size, info.value.cap) == ("cycles", 20, 19)
+
+
+def on_cycle_by_reach(g):
+    """Vertices with an out-edge whose range reaches back to them."""
+    return mask_of(v for v in range(g.n)
+                   if any(g.reach[g.edges[e][1]] >> v & 1 for e in g.out_edges[v]))
+
+
+def test_reach_answers_what_the_cycle_list_answers():
+    """Acyclicity, lying on a cycle and the atomistic predicate read off
+    reachability agree with the cycle list, on the acyclic multigraphs and
+    on random multigraphs with loops, back edges and parallel edges."""
+    rnd = random.Random(41)
+    family = acyclic_multigraphs(4, 6) + [random_graph(rnd, 6, 10)
+                                          for _ in range(600)]
+    seen = set()
+    for g in family:
+        cycles = g.cycles()
+        on_cycle = 0
+        for c in cycles:
+            on_cycle |= g.cycle_sources(c)
+        atomistic = predicate_atomistic(g)
+        assert g.is_acyclic() == (not cycles)
+        assert on_cycle_by_reach(g) == on_cycle
+        assert atomistic == oracles.atomistic_predicate(g)
+        seen |= {("cyclic", bool(cycles)), ("atomistic", atomistic),
+                 ("loop", any(s == r for s, r in g.edges)),
+                 ("parallel", g.has_parallel_edges())}
+    assert len(seen) == 8
 
 
 def test_forked_vertices(split_graph):
