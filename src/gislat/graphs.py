@@ -51,12 +51,14 @@ class Digraph:
 
     Vertices are 0..n-1 with user-facing string names kept in a side table;
     edges are an ordered tuple of (source, range) pairs, the edge id being
-    the position.  Parallel edges are permitted and distinct.
+    the position.  Parallel edges are permitted and distinct.  succ[v] is
+    the mask of the ranges of v's out-edges, and reach[v] the mask of the
+    vertices reachable from v, v included.
     """
 
-    __slots__ = ("names", "n", "edges", "m", "full", "out_edges", "reach",
-                 "_index", "_cycles", "_cycle_sources", "_hereditary", "_forked",
-                 "_hash")
+    __slots__ = ("names", "n", "edges", "m", "full", "out_edges", "succ",
+                 "reach", "_index", "_cycles", "_cycle_sources", "_hereditary",
+                 "_forked", "_hash")
 
     def __init__(self, names, edges):
         names = tuple(str(x) for x in names)
@@ -72,9 +74,12 @@ class Digraph:
         object.__setattr__(self, "m", len(pairs))
         object.__setattr__(self, "full", (1 << self.n) - 1)
         out = [[] for _ in range(self.n)]
-        for i, (s, _) in enumerate(pairs):
+        succ = [0] * self.n
+        for i, (s, r) in enumerate(pairs):
             out[s].append(i)
+            succ[s] |= 1 << r
         object.__setattr__(self, "out_edges", tuple(tuple(es) for es in out))
+        object.__setattr__(self, "succ", tuple(succ))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
         object.__setattr__(self, "reach", self._reachability())
         object.__setattr__(self, "_cycles", None)
@@ -110,8 +115,9 @@ class Digraph:
         return tuple(reach)
 
     def __eq__(self, other):
-        return (isinstance(other, Digraph)
-                and self.names == other.names and self.edges == other.edges)
+        return self is other or (
+            isinstance(other, Digraph)
+            and self.names == other.names and self.edges == other.edges)
 
     def __hash__(self):
         return self._hash

@@ -109,7 +109,7 @@ class WangTriple:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "f", tuple(sorted(store.items())))
         object.__setattr__(self, "_fmap", store)
-        object.__setattr__(self, "_hash", hash((graph, H, W, self.f)))
+        object.__setattr__(self, "_hash", hash((graph._hash, H, W, self.f)))
 
     def __setattr__(self, name, value):
         raise AttributeError("WangTriple is immutable")
@@ -167,11 +167,14 @@ def leq(t1: WangTriple, t2: WangTriple) -> bool:
 
 
 def _v0(g: Digraph, t1: WangTriple, t2: WangTriple) -> int:
-    """Vertices of (W1 u W2) \\ (H1 u H2) with no surviving out-edge."""
+    """Vertices of (W1 u W2) \\ (H1 u H2) with no surviving out-edge: v has
+    one iff some out-edge ranges outside H1 u H2, that is iff its range
+    mask succ[v] leaves H1 u H2, whatever loops or parallel edges v has."""
     h12 = t1.H | t2.H
+    succ = g.succ
     v0 = 0
     for v in bits((t1.W | t2.W) & ~h12):
-        if g.out_degree_minus(v, h12) == 0:
+        if succ[v] & ~h12 == 0:
             v0 |= 1 << v
     return v0
 
@@ -195,22 +198,23 @@ def join(t1: WangTriple, t2: WangTriple) -> WangTriple:
     J holds the vertices of (W1 u W2) \\ (H1 u H2) from which some vertex
     with no surviving out-edge is reachable along a path whose intermediate
     sources stay inside W1 u W2; a path of length 0 qualifies, so all such
-    dead-end vertices belong to J themselves.
+    dead-end vertices belong to J themselves.  A vertex of that set joins
+    J once some out-edge ranges into J, that is once its range mask
+    succ[v] meets J.
     """
     g = _same_graph(t1, t2)
     h12 = t1.H | t2.H
     ww = t1.W | t2.W
+    succ = g.succ
     j = _v0(g, t1, t2)
     grew = True
     while grew:
         grew = False
         # H1 u H2 is hereditary and misses v0, so none of it can enter J
         for v in bits(ww & ~h12 & ~j):
-            for e in g.out_edges[v]:
-                if j >> g.edges[e][1] & 1:
-                    j |= 1 << v
-                    grew = True
-                    break
+            if succ[v] & j:
+                j |= 1 << v
+                grew = True
     H = h12 | j
     return _result(g, t1, t2, H, ww & ~H, ext_gcd)
 

@@ -8,21 +8,25 @@ atoms under joins, the pentagon and diamond sublattice finders, and the
 join closure of generating sets over all pairs found.  The semigroup
 oracle's congruence closure and enumeration have their direct versions at
 the end, with the partition meet and refinement test that the isomorphism
-check no longer needs, and the associativity check over all triples that
-Light's test replaced.  Then comes the census canonical form over all n!
-vertex permutations, which colour refinement replaced, and last the
-atomistic graph predicate over the cycle list, which reachability
-replaced.  They are slow and only serve as ground truth.  The library
-answers every join and meet afresh, so the oracles that repeat pairs share
-one memo per lattice.
+check no longer needs, the associativity check over all triples that
+Light's test replaced, and the enumeration by joins with every principal
+congruence that joins with the join-irreducibles replaced.  Then comes the
+census canonical form over all n! vertex permutations, which colour
+refinement replaced, the atomistic graph predicate over the cycle list,
+which reachability replaced, and last the calculus's dead-end and J steps
+scanning edges one by one, which the range masks Digraph.succ replaced.
+They are slow and only serve as ground truth.  The library answers every
+join and meet afresh, so the oracles that repeat pairs share one memo per
+lattice.
 """
 
 from functools import cache
 from itertools import permutations
 
-from gislat.graphs import bits
+from gislat.graphs import bits, mask_of
 from gislat.lattice import FiniteLattice
-from gislat.oracle import generated_congruence
+from gislat.oracle import (generated_congruence, partition_join,
+                           principal_congruences)
 
 
 def all_pairs_order(elements):
@@ -211,7 +215,7 @@ ORACLES = {
 # -- congruence oracles ---------------------------------------------------------
 #
 # The library closes a congruence under translations by the generators only,
-# joins only with principal congruences, and closes each principal
+# joins only with join-irreducible congruences, and closes each principal
 # congruence from an already-closed translate.  These are the direct
 # versions.
 
@@ -329,6 +333,27 @@ def all_pairs_congruences(table, principals=None):
     return sorted(found)
 
 
+def joins_with_every_principal(table):
+    """Test oracle: every congruence, sorted, as the diagonal and the
+    principal congruences closed under joining with any principal
+    congruence, skipping a join with Cg(x, y) when x and y already share a
+    block: the enumeration that joining with the join-irreducibles
+    replaced."""
+    principals = principal_congruences(table)
+    found = {tuple(range(len(table)))}
+    found.update(principals)
+    frontier = list(found)
+    while frontier:
+        p = frontier.pop()
+        for q, (x, y) in principals.items():
+            if p[x] != p[y]:
+                j = partition_join(p, q)
+                if j not in found:
+                    found.add(j)
+                    frontier.append(j)
+    return sorted(found)
+
+
 def canonical_form_bruteforce(n, edges):
     """Test oracle: least (n, sorted relabelled edges) over all n! vertex
     permutations, kept only to check census.canonical_form against."""
@@ -356,3 +381,44 @@ def atomistic_predicate(graph) -> bool:
         elif not all(graph.geq(graph.edges[e][1], v) for e in out):
             return False
     return True
+
+
+# -- the calculus's edge scans --------------------------------------------------
+#
+# join and meet read whether a vertex keeps an out-edge, or has one into J,
+# off its range mask Digraph.succ.  These scan its out-edges instead.
+
+
+def dead_ends_by_edges(t1, t2):
+    """Test oracle for triples._v0: the vertices of (W1 u W2) \\ (H1 u H2)
+    whose surviving out-edges, counted one by one, number 0."""
+    g = t1.graph
+    h12 = t1.H | t2.H
+    return mask_of(v for v in bits((t1.W | t2.W) & ~h12)
+                   if g.out_degree_minus(v, h12) == 0)
+
+
+def join_hw_by_edges(t1, t2):
+    """Test oracle: H and W of triples.join, J grown from the dead ends by
+    the vertices of (W1 u W2) \\ (H1 u H2) with an out-edge into J."""
+    g = t1.graph
+    h12 = t1.H | t2.H
+    ww = t1.W | t2.W
+    j = dead_ends_by_edges(t1, t2)
+    grew = True
+    while grew:
+        grew = False
+        for v in bits(ww & ~h12 & ~j):
+            if any(j >> g.edges[e][1] & 1 for e in g.out_edges[v]):
+                j |= 1 << v
+                grew = True
+    H = h12 | j
+    return H, ww & ~H
+
+
+def meet_hw_by_edges(t1, t2):
+    """Test oracle: H and W of triples.meet, the dead ends counted edge by
+    edge."""
+    W = ((t1.W & t2.H) | (t2.W & t1.H)
+         | (t1.W & t2.W & ~dead_ends_by_edges(t1, t2)))
+    return t1.H & t2.H, W

@@ -371,12 +371,33 @@ def test_cmd_oracle(tmp_path, capsys):
 
 
 def test_cmd_oracle_cap(tmp_path, capsys):
-    dense = build_graph("abcde",
-                        [(a, b) for i, a in enumerate("abcde")
-                         for b in "abcde"[i + 1:]])
+    # the complete DAG on 6 vertices has 1,366 semigroup elements
+    dense = build_graph("abcdef",
+                        [(a, b) for i, a in enumerate("abcdef")
+                         for b in "abcdef"[i + 1:]])
     path = write(tmp_path, "dense.graph", format_graph(dense))
     assert main(["oracle", path]) == 3
     assert "cap" in capsys.readouterr().err
+
+
+def test_cmd_oracle_congruence_cap_trips_at_once(tmp_path, capsys,
+                                                 monkeypatch):
+    """6 disjoint edges make a 31-element semigroup with 4,096 congruences,
+    under the element cap but over the congruence cap, which trips before
+    the isomorphism check closes any triple's seed pairs."""
+    def no_closure(t, table):
+        raise AssertionError("a triple was closed before the cap tripped")
+
+    monkeypatch.setattr(oracle, "realize_triple", no_closure)
+    text = "".join(f"vertex a{i}\nvertex b{i}\nedge a{i} b{i}\n"
+                   for i in range(6))
+    path = write(tmp_path, "edges.graph", text)
+    start = monotonic()
+    assert main(["oracle", path]) == 3
+    assert monotonic() - start < 5.0
+    cap = oracle.CONGRUENCE_CAP
+    assert re.fullmatch(rf"error: \d+ congruences, more than the cap of {cap}\n",
+                        capsys.readouterr().err)
 
 
 def test_cmd_oracle_rejects_cycles(tmp_path, capsys):
@@ -482,7 +503,7 @@ def test_diamond_chain_lists_no_paths(tmp_path, capsys):
     assert main(["oracle", path]) == 3
     assert monotonic() - start < 10.0
     assert capsys.readouterr().err == \
-        "error: 301 paths, more than the cap of 300\n"
+        "error: 401 paths, more than the cap of 400\n"
 
 
 def test_unreadable_paths_exit_2(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The oracle's congruence layer against its direct versions in
 tests/oracles.py: the closure over generators against the closure over all
 translations, the principal congruences closed from closed translates
-against one closure per pair, the enumeration by principal joins against
-the found x found join closure, and the helpers it rests on."""
+against one closure per pair, the enumeration by join-irreducible joins
+against the joins with every principal and the found x found join closure,
+and the helpers it rests on."""
 
 import json
 import random
@@ -13,10 +14,11 @@ import pytest
 from gislat import oracle
 from gislat.cli import format_graph, main
 from gislat.graphs import CapExceeded, build_graph
+from gislat.lattice import join_irreducibles
 from gislat.oracle import (associativity_violations, build_semigroup,
                            enumerate_congruences, generated_congruence,
-                           partition_join, principal_congruences,
-                           verify_isomorphism)
+                           join_irreducible_congruences, partition_join,
+                           principal_congruences, verify_isomorphism)
 
 import oracles
 from conftest import make_split_graph
@@ -124,14 +126,66 @@ def test_translates_generate_smaller_principal_congruences(sweep):
                                            labels), (x, y)
 
 
-def test_principal_congruences_match_one_closure_per_pair(sweep):
-    tables = [table for table, _ in sweep]
-    tables += [build_semigroup(path(k)) for k in (5, 6, 7)]
-    tables += random_multigraph_tables(30, seed=3)
-    assert any(not t.graph.is_simple() and len(t) > 100 for t in tables)
+@pytest.fixture(scope="module")
+def tables(sweep):
+    """The sweep semigroups, the paths with 5 to 7 vertices and 30 seeded
+    random multigraph semigroups, some with over 100 elements."""
+    out = [table for table, _ in sweep]
+    out += [build_semigroup(path(k)) for k in (5, 6, 7)]
+    out += random_multigraph_tables(30, seed=3)
+    assert any(not t.graph.is_simple() and len(t) > 100 for t in out)
+    return out
+
+
+def test_principal_congruences_match_one_closure_per_pair(tables):
     for table in tables:
         assert principal_congruences(table) == \
             oracles.principal_congruences_from_scratch(table)
+
+
+def test_enumerate_congruences_matches_joins_with_every_principal(tables):
+    for table in tables:
+        assert enumerate_congruences(table) == \
+            oracles.joins_with_every_principal(table), table.graph
+
+
+def test_join_irreducible_congruences_are_the_lattice_ones(sweep):
+    """The principal congruences kept as join-irreducible are exactly the
+    congruences that the join-irreducible triples realize, each with the
+    pair principal_congruences gives it."""
+    for table, _ in sweep:
+        g = table.graph
+        principals = principal_congruences(table)
+        irreducibles = join_irreducible_congruences(principals)
+        assert irreducibles.items() <= principals.items()
+        lat = oracle.enumerate_lattice(g, oracle.DEFAULT_LATTICE_CAP)
+        assert set(irreducibles) == {
+            oracle.realize_triple(lat.elements[i], table)
+            for i in join_irreducibles(lat)}, g
+
+
+def test_congruence_cap_counts_the_principals_first(monkeypatch):
+    """The distinct principal congruences and the diagonal are congruences
+    already found, so a cap below their count trips before any
+    join-irreducible is sought."""
+    table = build_semigroup(path(5))
+    count = len(principal_congruences(table)) + 1
+
+    def no_search(principals):
+        raise AssertionError("join-irreducibles sought past the cap")
+
+    monkeypatch.setattr(oracle, "CONGRUENCE_CAP", count - 1)
+    monkeypatch.setattr(oracle, "join_irreducible_congruences", no_search)
+    with pytest.raises(CapExceeded) as info:
+        enumerate_congruences(table)
+    assert (info.value.what, info.value.size) == ("congruences", count)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_path_has_one_join_irreducible_congruence_per_vertex(k):
+    table = build_semigroup(path(k))
+    irreducibles = join_irreducible_congruences(principal_congruences(table))
+    assert len(irreducibles) == k
 
 
 def test_enumerate_congruences_matches_found_by_found(sweep):

@@ -1,5 +1,6 @@
 """Property tests of the triple calculus on small cyclic multigraphs, with
-loops, back edges, parallel edges and non-trivial cycle functions."""
+loops, back edges, parallel edges and non-trivial cycle functions, and of
+its mask steps against the edge scans in tests/oracles.py."""
 
 import pytest
 
@@ -7,8 +8,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from gislat.graphs import Digraph
-from gislat.triples import INF, WangTriple, meet, meet_no_fork
+from gislat.triples import INF, WangTriple, join, meet, meet_no_fork
 
+import oracles
 from test_triples import lattice_law_suite
 
 VALUES = (1, 2, 3, 4, 6, 12, INF)
@@ -53,3 +55,20 @@ def test_calculus_laws_on_cyclic_multigraphs(drawn):
         for t1 in ts:
             for t2 in ts:
                 assert meet_no_fork(t1, t2) == meet(t1, t2)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(graph_and_triples())
+def test_mask_steps_match_edge_scans(drawn):
+    """join, meet and meet_no_fork take the H and W that scanning each
+    vertex's out-edges gives."""
+    g, ts = drawn
+    fork_free = not g.forked_vertices()
+    for t1 in ts:
+        for t2 in ts:
+            j, m = join(t1, t2), meet(t1, t2)
+            assert (j.H, j.W) == oracles.join_hw_by_edges(t1, t2)
+            assert (m.H, m.W) == oracles.meet_hw_by_edges(t1, t2)
+            if fork_free:
+                m = meet_no_fork(t1, t2)
+                assert (m.H, m.W) == oracles.meet_hw_by_edges(t1, t2)

@@ -214,6 +214,18 @@ def test_minus_never_touches_h():
             assert list(sub.names) == kept
 
 
+def test_succ_masks_the_ranges_of_out_edges():
+    """succ[v] is the OR of 1 << r over v's out-edges, loops and parallel
+    edges included."""
+    rnd = random.Random(5)
+    fixed = [make_split_graph(), make_loop(), make_parallel_pair(),
+             make_two_loop_scc(), make_atomistic_example()]
+    for g in fixed + [random_graph(rnd) for _ in range(300)]:
+        assert len(g.succ) == g.n
+        for v in range(g.n):
+            assert g.succ[v] == mask_of(g.edges[e][1] for e in g.out_edges[v])
+
+
 def test_out_degree_minus(split_graph):
     b = split_graph.vertex("b")
     assert split_graph.out_degree_minus(b, split_graph.vertex_set("c")) == 1

@@ -7,6 +7,7 @@ from gislat.triples import (INF, WangTriple, atoms, covers,
                             meet, meet_no_fork, vertex_element)
 from gislat.census import acyclic_multigraphs
 
+import oracles
 from conftest import make_path3
 
 
@@ -212,6 +213,22 @@ def test_downward_directed_check():
     bottom = WangTriple(g, 0, 0)
     with pytest.raises(ValueError):
         downward_directed_check(bottom, WangTriple(g, 0, g.vertex_set("a")))
+
+
+def test_dead_end_with_parallel_edges_into_h():
+    """v has two parallel edges into s and one edge each into a and b, so
+    it keeps one out-edge outside H1 = {s, a} and one outside H2 = {s, b},
+    and none outside H1 u H2: it is a dead end.  w has one edge into v and
+    one into s, so it joins J after v."""
+    g = build_graph("sabvw", [("v", "s"), ("v", "s"), ("v", "a"), ("v", "b"),
+                              ("w", "v"), ("w", "s")])
+    t1 = WangTriple(g, g.vertex_set("sa"), g.vertex_set("vw"))
+    t2 = WangTriple(g, g.vertex_set("sb"), g.vertex_set("v"))
+    for s, t in ((t1, t2), (t2, t1)):
+        assert join(s, t) == WangTriple(g, g.full, 0)
+        assert meet(s, t) == WangTriple(g, g.vertex_set("s"), 0)
+        assert (join(s, t).H, join(s, t).W) == oracles.join_hw_by_edges(s, t)
+        assert (meet(s, t).H, meet(s, t).W) == oracles.meet_hw_by_edges(s, t)
 
 
 def assert_calculus_result(r, t1, t2, combine):
