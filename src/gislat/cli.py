@@ -111,11 +111,28 @@ def graph_json(graph: Digraph) -> dict:
             "edges": [[graph.names[s], graph.names[r]] for s, r in graph.edges]}
 
 
+class _PerMask(dict):
+    """mask -> render(mask), each mask rendered once.  A lattice repeats
+    each H across all its W, so a few hundred masks name thousands of
+    elements."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, mask):
+        self[mask] = value = self.render(mask)
+        return value
+
+
 def lattice_json(lat: ConLattice, properties: bool = False) -> dict:
     doc = {"format": JSON_FORMAT}
     doc.update(graph_json(lat.graph))
-    doc["elements"] = [triple_json(t) for t in lat.elements]
-    doc["covers"] = [[i, j] for i, j in lat.cover_list()]
+    # triple_json of each element, read off the masks: an acyclic graph's
+    # triples have no cycle function
+    names = _PerMask(lat.graph.vertex_names)
+    doc["elements"] = [{"H": names[H], "W": names[W]} for H, W in lat.masks]
+    doc["covers"] = lat.cover_list()
     doc["bottom"] = lat.bottom
     doc["top"] = lat.top
     if properties:
@@ -148,13 +165,16 @@ def lattice_properties(lat: ConLattice) -> dict:
 
 def lattice_dot(lat: ConLattice) -> str:
     lines = ["digraph conlat {", "  rankdir=BT;", "  node [shape=box];"]
-    for i, t in enumerate(lat.elements):
-        lines.append(f'  n{i} [label="{t!r}"];')
+    # each label is the element's triple as repr prints it
+    names = lat.graph.vertex_names
+    braces = _PerMask(lambda mask: "{" + ",".join(names(mask)) + "}")
+    for i, (H, W) in enumerate(lat.masks):
+        lines.append(f'  n{i} [label="({braces[H]}, {braces[W]}, ∅)"];')
     for i, j in lat.cover_list():
         lines.append(f"  n{i} -> n{j};")
     # every chain from the bottom to an element has |H u W| steps, and the
     # elements are numbered by that size
-    size = [(t.H | t.W).bit_count() for t in lat.elements]
+    size = [(H | W).bit_count() for H, W in lat.masks]
     for _, rank in groupby(range(lat.n), size.__getitem__):
         lines.append("  {rank=same; " + "; ".join(f"n{i}" for i in rank) + ";}")
     lines.append("}")
@@ -166,7 +186,8 @@ def lattice_dot(lat: ConLattice) -> str:
 
 def _emit(doc, human_lines, as_json):
     if as_json:
-        print(json.dumps(doc))
+        # no document holds a cycle, so the circular-reference check finds none
+        print(json.dumps(doc, check_circular=False))
     else:
         for line in human_lines:
             print(line)

@@ -156,25 +156,28 @@ class Digraph:
             closure |= self.reach[v]
         return closure
 
-    def hereditary_sets(self):
+    def hereditary_sets(self, cap: int | None = None):
         """All hereditary vertex sets, sorted by (size, bit pattern); raises
-        CapExceeded past HEREDITARY_CAP sets (the count can be exponential in
-        the number of vertices), whether or not the sets are cached."""
+        CapExceeded past cap sets, or past HEREDITARY_CAP when that is lower
+        or cap is None (the count can be exponential in the number of
+        vertices), whether or not the sets are cached.  Only a complete
+        list is cached."""
+        cap = HEREDITARY_CAP if cap is None else min(cap, HEREDITARY_CAP)
         if self._hereditary is None:
-            sets = self.hereditary_interval(0, self.full)
+            sets = self.hereditary_interval(0, self.full, cap)
             self._set("_hereditary",
                       tuple(sorted(sets, key=lambda h: (h.bit_count(), h))))
-        elif len(self._hereditary) > HEREDITARY_CAP:
-            raise CapExceeded("hereditary sets", len(self._hereditary),
-                              HEREDITARY_CAP)
+        elif len(self._hereditary) > cap:
+            raise CapExceeded("hereditary sets", len(self._hereditary), cap)
         return list(self._hereditary)
 
-    def hereditary_interval(self, low: int, high: int):
+    def hereditary_interval(self, low: int, high: int, cap: int | None = None):
         """The set of hereditary H with low ⊆ H ⊆ high, for hereditary low
         and high: {low} closed under union with reach[v] for v in high \\ low,
-        each reach[v] lying inside high.  Raises CapExceeded past
-        HEREDITARY_CAP sets."""
-        cap = HEREDITARY_CAP
+        each reach[v] lying inside high.  Raises CapExceeded past cap sets,
+        HEREDITARY_CAP by default."""
+        if cap is None:
+            cap = HEREDITARY_CAP
         sets = {low}
         # the vertices of one strongly connected component share a down-set
         for down in {self.reach[v] for v in bits(high & ~low)}:

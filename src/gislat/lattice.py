@@ -13,11 +13,11 @@ from .graphs import CapExceeded, Digraph, bits, mask_of
 from . import triples
 from .triples import WangTriple
 
-# Every element keeps two n-bit cover rows, and two more order rows once
-# something reads them, so memory grows as n squared.  On a 2-core machine
-# `gislat lattice` takes 1.4–1.9 s at 280 MB peak RSS on the 39,936-element
-# lattice of a 16-vertex DAG, and `--json --properties` 3.8–4.5 s at
-# 357 MB; see CHANGES.md.
+# Every element keeps an n-bit row of upper covers, and the rows of lower
+# covers and of the order once something reads them, so memory grows as n
+# squared.  On a 2-core machine `gislat lattice` takes 0.87–1.03 s at 163 MB
+# peak RSS on the 39,936-element lattice of a 16-vertex DAG, and `--json
+# --properties` 2.5–3.8 s at 327 MB; see CHANGES.md.
 DEFAULT_LATTICE_CAP = 40_000
 
 
@@ -27,33 +27,44 @@ class FiniteLattice:
     cover_up[i] is the bitmask of the upper covers of i.  The elements must
     be numbered along a linear extension, so every cover i -> j has i < j,
     and exactly one element may lack a lower cover (the bottom, 0) and one
-    an upper cover (the top, n - 1).  cover_dn holds the lower covers.  The
-    reflexive order rows up and down are closed from the covers when first
-    read.  Joins and meets are resolved through the order rows unless a
-    subclass overrides join_idx and meet_idx; nothing caches them.
+    an upper cover (the top, n - 1).  The lower covers cover_dn, and the
+    reflexive order rows up and down, are built from the upper covers when
+    first read.  Joins and meets are resolved through the order rows unless
+    a subclass overrides join_idx and meet_idx; nothing caches them.
     """
 
     def __init__(self, cover_up):
         self.n = n = len(cover_up)
         self.cover_up = cover_up = list(cover_up)
-        self.cover_dn = cover_dn = [0] * n
+        covered = 0
         for i, row in enumerate(cover_up):
+            lowest = (row & -row).bit_length() - 1
+            highest = row.bit_length() - 1
+            if row and not i < lowest <= highest < n:
+                j = lowest if lowest <= i else highest
+                raise ValueError(f"cover {i} -> {j} does not follow a "
+                                 f"linear extension of 0..{n - 1}")
+            covered |= row
+        # along a linear extension 0 is minimal and n - 1 maximal, so they
+        # are the bottom and top when no other element is
+        if covered != (1 << n) - 2 or cover_up.count(0) != 1:
+            raise ValueError("order has no unique bottom and top")
+        self.bottom = 0
+        self.top = n - 1
+
+    @cached_property
+    def cover_dn(self):
+        """cover_dn[j] is the bitmask of the lower covers of j."""
+        cover_dn = [0] * self.n
+        for i, row in enumerate(self.cover_up):
             low = 1 << i
             # highest cover first: bit_length is cheaper on long rows than
             # the negation bits() does for each lowest bit
             while row:
                 j = row.bit_length() - 1
-                if not i < j < n:
-                    raise ValueError(f"cover {i} -> {j} does not follow a "
-                                     f"linear extension of 0..{n - 1}")
                 cover_dn[j] |= low
                 row ^= 1 << j
-        # along a linear extension 0 is minimal and n - 1 maximal, so they
-        # are the bottom and top when no other element is
-        if cover_dn.count(0) != 1 or cover_up.count(0) != 1:
-            raise ValueError("order has no unique bottom and top")
-        self.bottom = 0
-        self.top = n - 1
+        return cover_dn
 
     @cached_property
     def up(self):
@@ -85,7 +96,17 @@ class FiniteLattice:
         return bool(self.cover_up[i] >> j & 1)
 
     def cover_list(self):
-        return [(i, j) for i in range(self.n) for j in bits(self.cover_up[i])]
+        """Every cover i -> j as the list [i, j], the form the JSON document
+        holds, in order of i and then j."""
+        covers = []
+        for i, row in enumerate(self.cover_up):
+            # every cover of i lies above it, so the shifted row is shorter
+            row >>= i
+            while row:
+                low = row & -row
+                covers.append([i, i + low.bit_length() - 1])
+                row ^= low
+        return covers
 
     def _bound(self, common, rows) -> int:
         # least element of `common` when rows are up-masks, greatest when down
@@ -104,12 +125,23 @@ class FiniteLattice:
         return list(bits(self.cover_up[self.bottom]))
 
 
-def eligible_sets(graph: Digraph):
+def eligible_sets(graph: Digraph, cap: int | None = None):
     """Each hereditary set H with the mask of vertices W may draw from:
-    those outside H keeping exactly one out-edge once H is removed."""
-    return [(H, mask_of(v for v in range(graph.n) if not H >> v & 1
-                        and graph.out_degree_minus(v, H) == 1))
-            for H in graph.hereditary_sets()]
+    those outside H keeping exactly one out-edge once H is removed, that is
+    whose ranges outside H are one vertex, reached by one edge (a vertex of
+    H has no range outside it).  More than cap hereditary sets raise
+    CapExceeded, see Digraph.hereditary_sets."""
+    ranges = [[graph.edges[e][1] for e in es] for es in graph.out_edges]
+    once = [mask_of(r for r in rs if rs.count(r) == 1) for rs in ranges]
+    out = []
+    for H in graph.hereditary_sets(cap):
+        W = 0
+        for v, succ in enumerate(graph.succ):
+            left = succ & ~H
+            if left & once[v] and left.bit_count() == 1:
+                W |= 1 << v
+        out.append((H, W))
+    return out
 
 
 class ConLattice(FiniteLattice):
@@ -132,37 +164,61 @@ class ConLattice(FiniteLattice):
     by lookup, and every chain from the bottom to t has |U| steps.  Joins
     and meets delegate to the triple calculus; FiniteLattice's join_idx
     and meet_idx resolve them through the order rows, as a cross-check.
+
+    The elements are stored as masks[i] = (H, W).  The triples in
+    elements, and index from triple to position, are built when first
+    read, so a command that only renders the lattice builds no triple.
     """
 
     def __init__(self, graph: Digraph, cap: int = DEFAULT_LATTICE_CAP):
         if not graph.is_acyclic():
             raise ValueError("graph has cycles; its congruence lattice is infinite")
-        eligible = eligible_sets(graph)
+        try:
+            eligible = eligible_sets(graph, cap)
+        except CapExceeded as exc:
+            if exc.cap != cap:  # HEREDITARY_CAP, lower than cap, tripped
+                raise
+            # each hereditary H gives at least the element (H, ∅)
+            raise CapExceeded("lattice elements", exc.size, cap) from None
         total = sum(1 << elig.bit_count() for _, elig in eligible)
         if total > cap:
             raise CapExceeded("lattice elements", total, cap)
-        parts = []
+        hw = {}
+        levels = [[] for _ in range(graph.n + 1)]
         for H, elig in eligible:
             W = elig
             while True:
-                parts.append((H | W, H, W))
+                u = H | W
+                hw[u] = (H, W)
+                levels[u.bit_count()].append(u)
                 if not W:
                     break
                 W = (W - 1) & elig
-        parts.sort(key=lambda p: (p[0].bit_count(), p[0]))
+        # numbered by (|U|, U): each level of one size in order
+        unions = [u for level in levels for u in sorted(level)]
         self.graph = graph
-        self.elements = [WangTriple._proved(graph, H, W, {}) for _, H, W in parts]
-        self.index = {t: i for i, t in enumerate(self.elements)}
-        by_union = {u: i for i, (u, _, _) in enumerate(parts)}
+        self.masks = [hw[u] for u in unions]
+        by_union = {u: i for i, u in enumerate(unions)}
+        vertex_bits = [1 << v for v in range(graph.n)]
         cover_up = []
-        for u, _, _ in parts:
+        for u in unions:
             covers = 0
-            for v in bits(graph.full & ~u):
-                j = by_union.get(u | 1 << v)
-                if j is not None:
-                    covers |= 1 << j
+            for b in vertex_bits:
+                if not u & b:
+                    j = by_union.get(u | b)
+                    if j is not None:
+                        covers |= 1 << j
             cover_up.append(covers)
         super().__init__(cover_up)
+
+    @cached_property
+    def elements(self):
+        graph = self.graph
+        return [WangTriple._proved(graph, H, W, {}) for H, W in self.masks]
+
+    @cached_property
+    def index(self):
+        return {t: i for i, t in enumerate(self.elements)}
 
     def _lookup(self, t, what) -> int:
         try:

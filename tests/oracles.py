@@ -13,16 +13,20 @@ Light's test replaced, and the enumeration by joins with every principal
 congruence that joins with the join-irreducibles replaced.  Then comes the
 census canonical form over all n! vertex permutations, which colour
 refinement replaced, the atomistic graph predicate over the cycle list,
-which reachability replaced, and last the calculus's dead-end and J steps
-scanning edges one by one, which the range masks Digraph.succ replaced.
+which reachability replaced, the calculus's dead-end and J steps
+scanning edges one by one, which the range masks Digraph.succ replaced,
+and last the lattice's JSON and DOT rendered from its triples, which
+rendering from the (H, W) masks replaced.
 They are slow and only serve as ground truth.  The library answers every
 join and meet afresh, so the oracles that repeat pairs share one memo per
 lattice.
 """
 
 from functools import cache
-from itertools import permutations
+from itertools import groupby, permutations
 
+from gislat.cli import (JSON_FORMAT, graph_json, lattice_properties,
+                        triple_json)
 from gislat.graphs import bits, mask_of
 from gislat.lattice import FiniteLattice
 from gislat.oracle import (generated_congruence, partition_join,
@@ -422,3 +426,41 @@ def meet_hw_by_edges(t1, t2):
     W = ((t1.W & t2.H) | (t2.W & t1.H)
          | (t1.W & t2.W & ~dead_ends_by_edges(t1, t2)))
     return t1.H & t2.H, W
+
+
+# -- the lattice rendered from its triples -------------------------------------
+#
+# cli.lattice_json and cli.lattice_dot read each element's (H, W) masks and
+# name each mask once.  These build every triple and render it by itself,
+# and list the covers bit by bit from the rows.
+
+
+def cover_pairs(lat):
+    return [(i, j) for i in range(lat.n) for j in bits(lat.cover_up[i])]
+
+
+def lattice_json_by_triples(lat, properties=False):
+    """Test oracle for cli.lattice_json: each element through triple_json."""
+    doc = {"format": JSON_FORMAT}
+    doc.update(graph_json(lat.graph))
+    doc["elements"] = [triple_json(t) for t in lat.elements]
+    doc["covers"] = [[i, j] for i, j in cover_pairs(lat)]
+    doc["bottom"] = lat.bottom
+    doc["top"] = lat.top
+    if properties:
+        doc["properties"] = lattice_properties(lat)
+    return doc
+
+
+def lattice_dot_by_triples(lat):
+    """Test oracle for cli.lattice_dot: each label is repr of the triple."""
+    lines = ["digraph conlat {", "  rankdir=BT;", "  node [shape=box];"]
+    for i, t in enumerate(lat.elements):
+        lines.append(f'  n{i} [label="{t!r}"];')
+    for i, j in cover_pairs(lat):
+        lines.append(f"  n{i} -> n{j};")
+    size = [(t.H | t.W).bit_count() for t in lat.elements]
+    for _, rank in groupby(range(lat.n), size.__getitem__):
+        lines.append("  {rank=same; " + "; ".join(f"n{i}" for i in rank) + ";}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from time import monotonic
 import pytest
 
 from gislat import graphs, lattice, oracle
-from gislat.census import connected_simple_graphs
+from gislat.census import acyclic_multigraphs, connected_simple_graphs
 from gislat.cli import (GraphParseError, format_graph, lattice_dot,
                         lattice_from_json, lattice_json, lattice_properties,
                         main, parse_graph_text, triple_from_json, triple_json,
@@ -280,6 +280,73 @@ def test_cmd_lattice_default_cap(tmp_path, capsys):
     assert "262144" in capsys.readouterr().err
 
 
+DISJOINT25_TEXT = "".join(f"vertex a{i}\nvertex b{i}\nedge a{i} b{i}\n"
+                          for i in range(25))
+STAR40_TEXT = "vertex t\n" + "".join(f"vertex s{i}\nedge s{i} t\n"
+                                     for i in range(40))
+
+
+@pytest.mark.parametrize("command, text", [
+    ("lattice", DISJOINT25_TEXT), ("generators", DISJOINT25_TEXT),
+    ("lattice", STAR40_TEXT)], ids=["lattice", "generators", "star"])
+def test_lattice_cap_trips_before_every_hereditary_set(
+        command, text, tmp_path, capsys):
+    # 3**25 and 2**40 + 1 hereditary sets, each giving at least one element:
+    # the element cap trips long before the hereditary-set cap
+    path = write(tmp_path, "g.graph", text)
+    start = monotonic()
+    assert main([command, path]) == 3
+    assert monotonic() - start < 0.5
+    assert re.fullmatch(r"error: \d+ lattice elements, more than the cap "
+                        r"of 40000\n", capsys.readouterr().err)
+
+
+def test_lattice_cap_caches_no_partial_hereditary_list():
+    g = make_split_graph()
+    with pytest.raises(CapExceeded):
+        enumerate_lattice(g, cap=5)
+    assert len(g.hereditary_sets()) == 6
+
+
+def test_rendering_from_masks_matches_rendering_from_triples():
+    graphs_ = (connected_simple_graphs(5) + acyclic_multigraphs(4, 5)
+               + [make_split_graph()])
+    assert any(g.has_parallel_edges() for g in graphs_)
+    for g in graphs_:
+        lat = enumerate_lattice(g)
+        for properties in (False, True):
+            assert json.dumps(lattice_json(lat, properties),
+                              check_circular=False) == \
+                json.dumps(oracles.lattice_json_by_triples(lat, properties))
+        assert lattice_dot(lat) == oracles.lattice_dot_by_triples(lat)
+
+
+def test_lattice_command_builds_no_triple(tmp_path, monkeypatch, capsys):
+    """`lattice` renders JSON, DOT and the laws from the (H, W) masks."""
+    built = []
+    proved = WangTriple.__dict__["_proved"].__func__
+    init = WangTriple.__init__
+
+    def counting_proved(cls, *args):
+        built.append("_proved")
+        return proved(cls, *args)
+
+    def counting_init(self, *args, **kwargs):
+        built.append("__init__")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WangTriple, "_proved", classmethod(counting_proved))
+    monkeypatch.setattr(WangTriple, "__init__", counting_init)
+    path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
+    dot = str(tmp_path / "split.dot")
+    assert main(["lattice", path, "--json", "--dot", dot, "--properties"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["elements"]) == 14
+    assert built == []
+    # the counters do count: the triples are built once something reads them
+    enumerate_lattice(make_split_graph()).elements
+    assert built == ["_proved"] * 14
+
+
 def test_cmd_lattice_chord11_properties(tmp_path, capsys):
     names = [f"v{i}" for i in range(11)]
     chord11 = build_graph(names, [(names[i], names[i + 1]) for i in range(10)]
@@ -435,14 +502,18 @@ K4_TEXT = "".join(f"vertex v{i}\n" for i in range(4)) + "".join(
 @pytest.mark.parametrize("text, argv, patch, what, size, cap", [
     (SPLIT_TEXT, ["lattice"], (graphs, "HEREDITARY_CAP", 5),
      "hereditary sets", 6, 5),
-    (SPLIT_TEXT, ["lattice", "--cap", "5"], None, "lattice elements", 14, 5),
+    # 6 hereditary sets, each giving at least one element: the 14 elements
+    # are counted once the hereditary sets fit under the cap, and the
+    # hereditary sets trip it before any W is listed when they do not
+    (SPLIT_TEXT, ["lattice", "--cap", "6"], None, "lattice elements", 14, 6),
+    (SPLIT_TEXT, ["lattice", "--cap", "5"], None, "lattice elements", 6, 5),
     (SPLIT_TEXT, ["oracle", "--oracle-cap", "5"], None, "paths", 6, 5),
     (SPLIT_TEXT, ["oracle", "--oracle-cap", "10"], None,
      "semigroup elements", 24, 10),
     (SPLIT_TEXT, ["oracle"], (oracle, "CONGRUENCE_CAP", 13),
      "congruences", 14, 13),
     (None, ["census", "6"], None, "census vertices (--bound)", 6, 5),
-], ids=["hereditary", "lattice", "paths", "semigroup",
+], ids=["hereditary", "lattice", "lattice-hereditary", "paths", "semigroup",
         "congruences", "census"])
 def test_every_cap_exits_3_naming_what_size_and_cap(
         text, argv, patch, what, size, cap, tmp_path, monkeypatch, capsys):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from gislat.graphs import CapExceeded, Digraph, build_graph
-from gislat.lattice import (FiniteLattice, enumerate_lattice,
+from gislat.graphs import CapExceeded, Digraph, build_graph, mask_of
+from gislat.lattice import (FiniteLattice, eligible_sets, enumerate_lattice,
                             generated_sublattice, is_atomistic_lattice,
                             is_distributive, is_lower_semimodular,
                             is_modular, is_upper_semimodular,
@@ -18,7 +18,7 @@ from gislat.census import (acyclic_multigraphs, connected_simple_graphs,
 import oracles
 from conftest import (brute_force_type_congruences, chain, m3, make_loop,
                       make_parallel_pair, make_path3, make_atomistic_example,
-                      n5)
+                      make_two_loop_scc, n5)
 
 
 def test_enumerate_lattice_sizes(split_graph, path3):
@@ -35,6 +35,36 @@ def test_enumerate_lattice_rejects_cycles(loop):
 def test_enumerate_lattice_cap(split_graph):
     with pytest.raises(CapExceeded):
         enumerate_lattice(split_graph, cap=10)
+
+
+def test_eligible_sets_count_surviving_out_edges():
+    """W may draw on the vertices with exactly one out-edge surviving H,
+    counted edge by edge, parallel edges and loops included."""
+    graphs = acyclic_multigraphs(4, 5) + [make_loop(), make_two_loop_scc(),
+                                          make_parallel_pair()]
+    for g in graphs:
+        assert eligible_sets(g) == [
+            (H, mask_of(v for v in range(g.n) if not H >> v & 1
+                        and g.out_degree_minus(v, H) == 1))
+            for H in g.hereditary_sets()]
+
+
+def test_elements_are_built_from_the_masks():
+    """elements[i] is the triple of masks[i], index is its inverse, and
+    neither is built before it is read."""
+    rnd = random.Random(17)
+    graphs = [build_graph("abcd", [("a", "b"), ("b", "c"), ("b", "d")])]
+    graphs += [Digraph(range(n), [(i, j) for i in range(n)
+                                  for j in range(i + 1, n)
+                                  if rnd.random() < 0.4])
+               for n in (5, 6, 7)]
+    for g in graphs:
+        lat = enumerate_lattice(g)
+        assert "elements" not in vars(lat) and "index" not in vars(lat)
+        assert [(t.H, t.W) for t in lat.elements] == lat.masks
+        assert all(t.graph is g and t.f == () for t in lat.elements)
+        assert lat.index == {t: i for i, t in enumerate(lat.elements)}
+        assert len(lat.index) == lat.n
 
 
 def test_lattice_bottom_top(split_graph):
