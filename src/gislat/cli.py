@@ -14,7 +14,7 @@ import re
 import sys
 from itertools import groupby
 
-from .graphs import CapExceeded, Digraph, build_graph
+from .graphs import CapExceeded, Digraph
 from . import lattice as _lattice
 from . import oracle as _oracle
 from .census import simple_graphs
@@ -94,16 +94,8 @@ def format_graph(graph: Digraph) -> str:
 
 
 def triple_json(t: WangTriple) -> dict:
-    doc = {"H": t.graph.vertex_names(t.H), "W": t.graph.vertex_names(t.W)}
-    if t.f:
-        doc["f"] = [{"cycle": list(c), "value": v} for c, v in t.f]
-    return doc
-
-
-def triple_from_json(graph: Digraph, doc: dict) -> WangTriple:
-    f = {tuple(entry["cycle"]): entry["value"] for entry in doc.get("f", [])}
-    return WangTriple(graph, graph.vertex_set(doc["H"]),
-                      graph.vertex_set(doc["W"]), f)
+    # every triple a command renders has the default f = ()
+    return {"H": t.graph.vertex_names(t.H), "W": t.graph.vertex_names(t.W)}
 
 
 def graph_json(graph: Digraph) -> dict:
@@ -132,22 +124,12 @@ def lattice_json(lat: ConLattice, properties: bool = False) -> dict:
     # triples have no cycle function
     names = _PerMask(lat.graph.vertex_names)
     doc["elements"] = [{"H": names[H], "W": names[W]} for H, W in lat.masks]
-    doc["covers"] = lat.cover_list()
+    doc["covers"] = lat.cover_list
     doc["bottom"] = lat.bottom
     doc["top"] = lat.top
     if properties:
         doc["properties"] = lattice_properties(lat)
     return doc
-
-
-def lattice_from_json(doc: dict) -> ConLattice:
-    graph = build_graph(doc["vertices"], doc["edges"])
-    # the reader keeps the default cap, whatever --cap wrote the document
-    lat = enumerate_lattice(graph, _lattice.DEFAULT_LATTICE_CAP)
-    elements = {triple_from_json(graph, e) for e in doc["elements"]}
-    if elements != set(lat.elements):
-        raise ValueError("the document does not list the lattice's elements")
-    return lat
 
 
 def lattice_properties(lat: ConLattice) -> dict:
@@ -170,7 +152,7 @@ def lattice_dot(lat: ConLattice) -> str:
     braces = _PerMask(lambda mask: "{" + ",".join(names(mask)) + "}")
     for i, (H, W) in enumerate(lat.masks):
         lines.append(f'  n{i} [label="({braces[H]}, {braces[W]}, ∅)"];')
-    for i, j in lat.cover_list():
+    for i, j in lat.cover_list:
         lines.append(f"  n{i} -> n{j};")
     # every chain from the bottom to an element has |H u W| steps, and the
     # elements are numbered by that size

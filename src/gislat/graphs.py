@@ -215,21 +215,7 @@ class Digraph:
             seen |= comp
         return comps
 
-    # -- subgraphs ------------------------------------------------------------
-
-    def minus(self, H: int) -> "Digraph":
-        """The induced subgraph on the complement of a hereditary set H.
-
-        Vertices are renumbered densely in their original order; an edge is
-        retained iff neither endpoint lies in H.
-        """
-        if not self.is_hereditary(H):
-            raise ValueError("minus() requires a hereditary vertex set")
-        keep = [v for v in range(self.n) if not H >> v & 1]
-        new_id = {v: i for i, v in enumerate(keep)}
-        edges = [(new_id[s], new_id[r]) for s, r in self.edges
-                 if not (H >> s & 1 or H >> r & 1)]
-        return Digraph([self.names[v] for v in keep], edges)
+    # -- removing a vertex set ----------------------------------------------
 
     def out_degree_minus(self, v: int, H: int) -> int:
         """Number of edges from v whose range survives removal of H."""
@@ -346,17 +332,6 @@ class Digraph:
     def path_range(self, path) -> int:
         v, es = path
         return v if not es else self.edges[es[-1]][1]
-
-    def is_path(self, path) -> bool:
-        v, es = path
-        if not 0 <= v < self.n:
-            return False
-        at = v
-        for e in es:
-            if not 0 <= e < self.m or self.edges[e][0] != at:
-                return False
-            at = self.edges[e][1]
-        return True
 
 
 def build_graph(names, edges) -> Digraph:

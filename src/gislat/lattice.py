@@ -14,10 +14,11 @@ from . import triples
 from .triples import WangTriple
 
 # Every element keeps an n-bit row of upper covers, and the rows of lower
-# covers and of the order once something reads them, so memory grows as n
-# squared.  On a 2-core machine `gislat lattice` takes 0.87–1.03 s at 163 MB
-# peak RSS on the 39,936-element lattice of a 16-vertex DAG, and `--json
-# --properties` 2.5–3.8 s at 327 MB; see CHANGES.md.
+# covers and of the order once something reads them (no command reads the
+# order rows), so memory grows as n squared.  On a 2-core machine `gislat
+# lattice` takes 0.87–1.03 s at 163 MB peak RSS on the 39,936-element
+# lattice of a 16-vertex DAG, and `--json --properties` 2.5–3.8 s at
+# 327 MB; see CHANGES.md.
 DEFAULT_LATTICE_CAP = 40_000
 
 
@@ -27,10 +28,10 @@ class FiniteLattice:
     cover_up[i] is the bitmask of the upper covers of i.  The elements must
     be numbered along a linear extension, so every cover i -> j has i < j,
     and exactly one element may lack a lower cover (the bottom, 0) and one
-    an upper cover (the top, n - 1).  The lower covers cover_dn, and the
-    reflexive order rows up and down, are built from the upper covers when
-    first read.  Joins and meets are resolved through the order rows unless
-    a subclass overrides join_idx and meet_idx; nothing caches them.
+    an upper cover (the top, n - 1).  The lower covers cover_dn, the list
+    of covers, and the reflexive order rows up and down are built from the
+    upper covers when first read.  Joins and meets are left to ConLattice,
+    which reads them off the triple calculus.
     """
 
     def __init__(self, cover_up):
@@ -92,9 +93,7 @@ class FiniteLattice:
     def leq_idx(self, i, j) -> bool:
         return bool(self.up[i] >> j & 1)
 
-    def is_cover(self, i, j) -> bool:
-        return bool(self.cover_up[i] >> j & 1)
-
+    @cached_property
     def cover_list(self):
         """Every cover i -> j as the list [i, j], the form the JSON document
         holds, in order of i and then j."""
@@ -107,22 +106,6 @@ class FiniteLattice:
                 covers.append([i, i + low.bit_length() - 1])
                 row ^= low
         return covers
-
-    def _bound(self, common, rows) -> int:
-        # least element of `common` when rows are up-masks, greatest when down
-        for k in bits(common):
-            if common & ~rows[k] == 0:
-                return k
-        raise ValueError("bound is not unique; not a lattice")
-
-    def join_idx(self, i, j) -> int:
-        return self._bound(self.up[i] & self.up[j], self.up)
-
-    def meet_idx(self, i, j) -> int:
-        return self._bound(self.down[i] & self.down[j], self.down)
-
-    def atoms_idx(self):
-        return list(bits(self.cover_up[self.bottom]))
 
 
 def eligible_sets(graph: Digraph, cap: int | None = None):
@@ -162,8 +145,7 @@ class ConLattice(FiniteLattice):
     vertex of W1 its one (or it would reach only U1 ∪ {v}): U1 ∪ {v} is a
     union.  So the upper covers are the unions that add one vertex, found
     by lookup, and every chain from the bottom to t has |U| steps.  Joins
-    and meets delegate to the triple calculus; FiniteLattice's join_idx
-    and meet_idx resolve them through the order rows, as a cross-check.
+    and meets delegate to the triple calculus and are not cached.
 
     The elements are stored as masks[i] = (H, W).  The triples in
     elements, and index from triple to position, are built when first

@@ -97,12 +97,6 @@ class MulTable:
     def __len__(self):
         return len(self.elements)
 
-    def mul(self, i, j):
-        return self.rows[i][j]
-
-    def inverse_idx(self, i):
-        return self.index[inverse(self.elements[i])]
-
 
 def build_semigroup(graph: Digraph, element_cap: int = DEFAULT_ELEMENT_CAP) -> MulTable:
     """Construct the semigroup of a finite acyclic graph: the zero plus all

@@ -17,19 +17,22 @@ which reachability replaced, the calculus's dead-end and J steps
 scanning edges one by one, which the range masks Digraph.succ replaced,
 and last the lattice's JSON and DOT rendered from its triples, which
 rendering from the (H, W) masks replaced.
-They are slow and only serve as ground truth.  The library answers every
-join and meet afresh, so the oracles that repeat pairs share one memo per
-lattice.
+They are slow and only serve as ground truth.  The join and meet read off
+the order rows up and down, row_join and row_meet, live here too: the
+library has joins and meets on ConLattice only, from the triple calculus,
+so these serve the hand-made FiniteLattice fixtures and cross-check the
+calculus.  The library answers every join and meet afresh, so the oracles
+that repeat pairs share one memo per lattice.
 """
 
-from functools import cache
+from functools import cache, partial
 from itertools import groupby, permutations
 
 from gislat.cli import (JSON_FORMAT, graph_json, lattice_properties,
                         triple_json)
 from gislat.graphs import bits, mask_of
 from gislat.lattice import FiniteLattice
-from gislat.oracle import (generated_congruence, partition_join,
+from gislat.oracle import (generated_congruence, inverse, partition_join,
                            principal_congruences)
 
 
@@ -63,12 +66,38 @@ def transitive_reduction(up):
     return cover_up
 
 
+def _bound(common, rows) -> int:
+    """The least element of common when rows are up rows, the greatest
+    when they are down rows."""
+    for k in bits(common):
+        if common & ~rows[k] == 0:
+            return k
+    raise ValueError("bound is not unique; not a lattice")
+
+
+def row_join(lat: FiniteLattice, i, j) -> int:
+    """The join of i and j, the least element above both."""
+    return _bound(lat.up[i] & lat.up[j], lat.up)
+
+
+def row_meet(lat: FiniteLattice, i, j) -> int:
+    """The meet of i and j, the greatest element below both."""
+    return _bound(lat.down[i] & lat.down[j], lat.down)
+
+
 def memoised(lat: FiniteLattice):
-    """lat's join_idx and meet_idx, each ordered pair computed once however
-    many oracles ask: the memo is kept on the lattice."""
+    """lat's join and meet, each ordered pair computed once however many
+    oracles ask: the memo is kept on the lattice.  A ConLattice answers
+    through the triple calculus, any other lattice through its order rows."""
     if "oracle_memo" not in vars(lat):
-        lat.oracle_memo = cache(lat.join_idx), cache(lat.meet_idx)
+        join = getattr(lat, "join_idx", partial(row_join, lat))
+        meet = getattr(lat, "meet_idx", partial(row_meet, lat))
+        lat.oracle_memo = cache(join), cache(meet)
     return lat.oracle_memo
+
+
+def is_cover(lat: FiniteLattice, i, j) -> bool:
+    return bool(lat.cover_up[i] >> j & 1)
 
 
 def upper_semimodular(lat: FiniteLattice) -> bool:
@@ -77,9 +106,9 @@ def upper_semimodular(lat: FiniteLattice) -> bool:
     for a in range(lat.n):
         for b in range(a + 1, lat.n):
             m = meet(a, b)
-            if lat.is_cover(m, a) and lat.is_cover(m, b):
+            if is_cover(lat, m, a) and is_cover(lat, m, b):
                 j = join(a, b)
-                if not (lat.is_cover(a, j) and lat.is_cover(b, j)):
+                if not (is_cover(lat, a, j) and is_cover(lat, b, j)):
                     return False
     return True
 
@@ -90,9 +119,9 @@ def lower_semimodular(lat: FiniteLattice) -> bool:
     for a in range(lat.n):
         for b in range(a + 1, lat.n):
             j = join(a, b)
-            if lat.is_cover(a, j) and lat.is_cover(b, j):
+            if is_cover(lat, a, j) and is_cover(lat, b, j):
                 m = meet(a, b)
-                if not (lat.is_cover(m, a) and lat.is_cover(m, b)):
+                if not (is_cover(lat, m, a) and is_cover(lat, m, b)):
                     return False
     return True
 
@@ -127,7 +156,7 @@ def atomistic(lat: FiniteLattice) -> bool:
     """Close the atoms and the bottom under joins; is that everything?"""
     join, _ = memoised(lat)
     closed = {lat.bottom}
-    frontier = list(lat.atoms_idx())
+    frontier = list(bits(lat.cover_up[lat.bottom]))
     closed.update(frontier)
     while frontier:
         a = frontier.pop()
@@ -147,7 +176,7 @@ def distributive_by_join_primes(lat: FiniteLattice) -> bool:
     irreducible = sum(1 << i for i in range(lat.n)
                       if lat.cover_dn[i].bit_count() == 1)
     below = [row & irreducible for row in lat.down]
-    return all(below[lat.join_idx(a, b)] == below[a] | below[b]
+    return all(below[row_join(lat, a, b)] == below[a] | below[b]
                for a in range(lat.n) for b in range(a + 1, lat.n))
 
 
@@ -260,13 +289,18 @@ def all_translations_closure(table, pairs, cols=None):
     return tuple(seen.setdefault(find(i), len(seen)) for i in range(len(table)))
 
 
+def inverses(table):
+    """The index of each element's inverse x*."""
+    return [table.index[inverse(x)] for x in table.elements]
+
+
 def principal_congruences_from_scratch(table):
     """Test oracle: the distinct principal congruences, each mapped to the
     first pair x < y that generates it, closing every pair from the
     diagonal.  A pair is skipped when the sorted pair (x*, y*) comes first,
     since Cg(x*, y*) = Cg(x, y) and the earlier pair stands for both."""
     n = len(table)
-    inv = [table.inverse_idx(x) for x in range(n)]
+    inv = inverses(table)
     out = {}
     for x in range(n):
         for y in range(x + 1, n):

@@ -10,12 +10,11 @@ from time import monotonic
 
 import pytest
 
-from gislat import graphs, lattice, oracle
+from gislat import cli, graphs, lattice, oracle
 from gislat.census import acyclic_multigraphs, connected_simple_graphs
 from gislat.cli import (GraphParseError, format_graph, lattice_dot,
-                        lattice_from_json, lattice_json, lattice_properties,
-                        main, parse_graph_text, triple_from_json, triple_json,
-                        PARSER)
+                        lattice_json, lattice_properties, main,
+                        parse_graph_text, PARSER)
 from gislat.graphs import CapExceeded, Digraph, bits, build_graph
 from gislat.lattice import FiniteLattice, enumerate_lattice
 from gislat.triples import WangTriple
@@ -122,32 +121,6 @@ def test_parse_error_column_after_keyword(capsys, monkeypatch):
     assert "line 2, column 6: unknown vertex 'e'" in capsys.readouterr().err
 
 
-def test_triple_json_round_trip():
-    g = make_split_graph()
-    for t in enumerate_lattice(g).elements:
-        assert triple_from_json(g, triple_json(t)) == t
-
-
-def test_lattice_json_round_trip():
-    g = make_split_graph()
-    lat = enumerate_lattice(g)
-    doc = json.loads(json.dumps(lattice_json(lat)))
-    lat2 = lattice_from_json(doc)
-    assert lat2.n == lat.n
-    assert lat2.up == lat.up
-    assert lat2.cover_list() == lat.cover_list()
-
-
-def test_lattice_from_json_refuses_a_lattice_above_the_default_cap(monkeypatch):
-    # a document written with a raised --cap is refused, not read past it
-    doc = lattice_json(enumerate_lattice(make_split_graph()))
-    monkeypatch.setattr(lattice, "DEFAULT_LATTICE_CAP", 10)
-    with pytest.raises(CapExceeded) as info:
-        lattice_from_json(doc)
-    assert (info.value.what, info.value.size, info.value.cap) == \
-        ("lattice elements", 14, 10)
-
-
 def test_lattice_dot(tmp_path):
     """Each rank line lists, in index order, exactly the elements whose
     longest chain from the bottom has its length, ranks in length order."""
@@ -155,7 +128,7 @@ def test_lattice_dot(tmp_path):
         lat = enumerate_lattice(g)
         dot = lattice_dot(lat)
         assert dot.count("[label=") == lat.n
-        assert dot.count(" -> ") == len(lat.cover_list())
+        assert dot.count(" -> ") == len(lat.cover_list)
         longest = [0] * lat.n
         for i in range(lat.n):
             for j in bits(lat.cover_up[i]):
@@ -345,6 +318,31 @@ def test_lattice_command_builds_no_triple(tmp_path, monkeypatch, capsys):
     # the counters do count: the triples are built once something reads them
     enumerate_lattice(make_split_graph()).elements
     assert built == ["_proved"] * 14
+
+
+def test_lattice_json_dot_lists_the_covers_once(tmp_path, monkeypatch, capsys):
+    """`lattice --json --dot` walks the cover rows once for both renderings."""
+    walks = []
+
+    class CountedRows(list):
+        def __iter__(self):
+            walks.append(1)
+            return super().__iter__()
+
+    build = cli.enumerate_lattice
+
+    def counted(graph, cap):
+        lat = build(graph, cap)
+        lat.cover_up = CountedRows(lat.cover_up)
+        return lat
+
+    monkeypatch.setattr(cli, "enumerate_lattice", counted)
+    path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
+    dot = tmp_path / "split.dot"
+    assert main(["lattice", path, "--json", "--dot", str(dot)]) == 0
+    covers = json.loads(capsys.readouterr().out)["covers"]
+    assert dot.read_text().count(" -> ") == len(covers)
+    assert len(walks) == 1
 
 
 def test_cmd_lattice_chord11_properties(tmp_path, capsys):
@@ -585,13 +583,6 @@ def test_unreadable_paths_exit_2(tmp_path, capsys):
     path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
     assert main(["lattice", path, "--dot", str(tmp_path)]) == 2
     assert str(tmp_path) in capsys.readouterr().err
-
-
-def test_lattice_from_json_names_an_unknown_vertex():
-    doc = lattice_json(enumerate_lattice(make_split_graph()))
-    doc["edges"].append(["a", "z"])
-    with pytest.raises(ValueError, match="unknown vertex name 'z'"):
-        lattice_from_json(doc)
 
 
 def test_parser_is_reused_across_calls(tmp_path, capsys):

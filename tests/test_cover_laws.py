@@ -6,9 +6,9 @@ import random
 import pytest
 
 from gislat.census import acyclic_multigraphs, connected_simple_graphs
-from gislat.cli import lattice_dot, lattice_from_json, lattice_json
+from gislat.cli import lattice_dot, lattice_json
 from gislat.graphs import Digraph, bits
-from gislat.lattice import (FiniteLattice, eligible_sets, enumerate_lattice,
+from gislat.lattice import (FiniteLattice, enumerate_lattice,
                             generated_sublattice, is_atomistic_lattice,
                             is_distributive, is_lower_semimodular, is_modular,
                             is_upper_semimodular, minimal_generating_set)
@@ -151,33 +151,6 @@ def test_order_rows_are_built_only_when_read():
     assert "up" not in vars(lat) and "down" not in vars(lat)
     assert lat.up == oracles.all_pairs_order(lat.elements)
     assert "up" in vars(lat) and "down" not in vars(lat)
-
-
-def test_lattice_from_json_rejects_incomplete_element_list():
-    g = make_split_graph()
-    lat = enumerate_lattice(g)
-    size = sum(1 << elig.bit_count() for _, elig in eligible_sets(g))
-    assert lat.n == size == 14
-    doc = lattice_json(lat)
-    elements = doc["elements"]
-    for k in range(len(elements)):
-        with pytest.raises(ValueError):
-            lattice_from_json({**doc, "elements": elements[:k] + elements[k + 1:]})
-    with pytest.raises(ValueError):
-        lattice_from_json({**doc, "elements": []})
-    with pytest.raises(ValueError):
-        lattice_from_json({**doc, "elements": elements[:-1]
-                           + [{"H": ["x"], "W": []}]})
-
-
-def test_lattice_from_json_ignores_order_and_repeats():
-    lat = enumerate_lattice(make_split_graph())
-    doc = lattice_json(lat)
-    shuffled = doc["elements"] + doc["elements"][:3]
-    random.Random(31).shuffle(shuffled)
-    again = lattice_from_json({**doc, "elements": shuffled})
-    assert again.elements == lat.elements
-    assert again.up == lat.up and again.cover_up == lat.cover_up
 
 
 # -- the five laws -----------------------------------------------------------------

@@ -11,7 +11,7 @@ from gislat.triples import WangTriple
 from gislat.census import acyclic_multigraphs
 
 from conftest import make_split_graph, make_parallel_pair, make_path3
-from oracles import partition_meet, refines
+from oracles import inverses, partition_meet, refines
 
 
 def test_all_paths_split_graph(split_graph):
@@ -54,15 +54,14 @@ def test_table_associative_and_inverses():
         table = build_semigroup(g)
         assert associativity_violations(table) == []
         n = len(table)
-        assert all(table.mul(0, x) == 0 == table.mul(x, 0) for x in range(n))
-        for x in range(n):
-            y = table.inverse_idx(x)
-            assert table.mul(table.mul(x, y), x) == x
-            assert table.mul(table.mul(y, x), y) == y
+        rows = table.rows
+        assert all(rows[0][x] == 0 == rows[x][0] for x in range(n))
+        for x, y in enumerate(inverses(table)):
+            assert rows[rows[x][y]][x] == x
+            assert rows[rows[y][x]][y] == y
             # and y is the only such element
             others = [z for z in range(n)
-                      if table.mul(table.mul(x, z), x) == x
-                      and table.mul(table.mul(z, x), z) == z]
+                      if rows[rows[x][z]][x] == x and rows[rows[z][x]][z] == z]
             assert others == [y]
 
 
@@ -98,8 +97,8 @@ def test_congruences_are_compatible_and_closed(path3):
                 if labels[x] != labels[y]:
                     continue
                 for z in range(n):
-                    assert labels[table.mul(z, x)] == labels[table.mul(z, y)]
-                    assert labels[table.mul(x, z)] == labels[table.mul(y, z)]
+                    assert labels[table.rows[z][x]] == labels[table.rows[z][y]]
+                    assert labels[table.rows[x][z]] == labels[table.rows[y][z]]
     as_set = set(congs)
     for p in congs:
         for q in congs:
