@@ -81,14 +81,25 @@ def test_covers_match_transitive_reduction():
 
 
 def test_triple_joins_match_order_joins():
-    """Over all ordered pairs, so every join and meet also stays inside
-    the lattice (join_idx raises otherwise)."""
+    for g in connected_simple_graphs(4):
+        lat = enumerate_lattice(g)
+        for i in range(lat.n):
+            for j in range(i, lat.n):
+                assert lat.join_idx(i, j) == oracles.row_join(lat, i, j)
+                assert lat.meet_idx(i, j) == oracles.row_meet(lat, i, j)
+
+
+def test_join_meet_stay_inside_lattice():
+    """Over all ordered pairs: join_idx and meet_idx raise on a triple
+    outside the lattice, and what they return bounds both arguments."""
     for g in connected_simple_graphs(4):
         lat = enumerate_lattice(g)
         for i in range(lat.n):
             for j in range(lat.n):
-                assert lat.join_idx(i, j) == oracles.row_join(lat, i, j)
-                assert lat.meet_idx(i, j) == oracles.row_meet(lat, i, j)
+                k, m = lat.join_idx(i, j), lat.meet_idx(i, j)
+                assert 0 <= k < lat.n and 0 <= m < lat.n
+                assert lat.leq_idx(i, k) and lat.leq_idx(j, k)
+                assert lat.leq_idx(m, i) and lat.leq_idx(m, j)
 
 
 def test_handmade_lattices():
