@@ -2,6 +2,10 @@
 
 Vertex subsets are plain int bitmasks (bit ``i`` set means vertex ``i`` is in
 the set), so set algebra is ``&``, ``|``, ``& ~`` plus the helpers below.
+Each vertex keeps two masks of the ranges of its out-edges: succ, every
+range, and once, the ranges that exactly one of its edges reaches.  Which
+out-edges of a vertex survive removing a set H is read off these two
+masks; Digraph.eligible answers it for the W of a Wang triple.
 Graphs are immutable after construction and safe to share between threads.
 """
 
@@ -52,13 +56,16 @@ class Digraph:
     Vertices are 0..n-1 with user-facing string names kept in a side table;
     edges are an ordered tuple of (source, range) pairs, the edge id being
     the position.  Parallel edges are permitted and distinct.  succ[v] is
-    the mask of the ranges of v's out-edges, and reach[v] the mask of the
-    vertices reachable from v, v included.
+    the mask of the ranges of v's out-edges, once[v] the mask of those
+    ranges that exactly one edge of v reaches, and reach[v] the mask of the
+    vertices reachable from v, v included.  eligible(H) is the set a Wang
+    triple's W may draw from: the vertices keeping exactly one out-edge once
+    H is removed.
     """
 
     __slots__ = ("names", "n", "edges", "m", "full", "out_edges", "succ",
-                 "reach", "_index", "_cycles", "_cycle_sources", "_hereditary",
-                 "_forked", "_hash")
+                 "once", "reach", "_index", "_cycles", "_cycle_sources",
+                 "_hereditary", "_forked", "_hash")
 
     def __init__(self, names, edges):
         names = tuple(str(x) for x in names)
@@ -75,11 +82,15 @@ class Digraph:
         object.__setattr__(self, "full", (1 << self.n) - 1)
         out = [[] for _ in range(self.n)]
         succ = [0] * self.n
+        twice = [0] * self.n
         for i, (s, r) in enumerate(pairs):
             out[s].append(i)
+            twice[s] |= succ[s] & 1 << r
             succ[s] |= 1 << r
         object.__setattr__(self, "out_edges", tuple(tuple(es) for es in out))
         object.__setattr__(self, "succ", tuple(succ))
+        object.__setattr__(self, "once", tuple(
+            ranges & ~again for ranges, again in zip(succ, twice)))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
         object.__setattr__(self, "reach", self._reachability())
         object.__setattr__(self, "_cycles", None)
@@ -100,17 +111,17 @@ class Digraph:
         object.__setattr__(self, name, value)
 
     def _reachability(self):
+        succ = self.succ
         reach = []
         for v in range(self.n):
             seen = 1 << v
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for e in self.out_edges[u]:
-                    w = self.edges[e][1]
-                    if not seen >> w & 1:
-                        seen |= 1 << w
-                        stack.append(w)
+            new = succ[v] & ~seen
+            while new:
+                seen |= new
+                step = 0
+                for u in bits(new):
+                    step |= succ[u]
+                new = step & ~seen
             reach.append(seen)
         return tuple(reach)
 
@@ -174,16 +185,17 @@ class Digraph:
     def hereditary_interval(self, low: int, high: int, cap: int | None = None):
         """The set of hereditary H with low ⊆ H ⊆ high, for hereditary low
         and high: {low} closed under union with reach[v] for v in high \\ low,
-        each reach[v] lying inside high.  Raises CapExceeded past cap sets,
-        HEREDITARY_CAP by default."""
+        each reach[v] lying inside high.  Raises CapExceeded on the set
+        that passes cap, HEREDITARY_CAP by default, so a trip holds cap + 1."""
         if cap is None:
             cap = HEREDITARY_CAP
         sets = {low}
         # the vertices of one strongly connected component share a down-set
         for down in {self.reach[v] for v in bits(high & ~low)}:
-            sets |= {s | down for s in sets}
-            if len(sets) > cap:
-                raise CapExceeded("hereditary sets", len(sets), cap)
+            for s in list(sets):
+                sets.add(s | down)
+                if len(sets) > cap:
+                    raise CapExceeded("hereditary sets", len(sets), cap)
         return sets
 
     def is_downward_directed(self, H: int) -> bool:
@@ -217,12 +229,15 @@ class Digraph:
 
     # -- removing a vertex set ----------------------------------------------
 
-    def out_degree_minus(self, v: int, H: int) -> int:
-        """Number of edges from v whose range survives removal of H."""
-        if H >> v & 1:
-            raise ValueError("vertex lies in the removed set")
-        edges = self.edges
-        return sum(1 for e in self.out_edges[v] if not H >> edges[e][1] & 1)
+    def eligible(self, H: int) -> int:
+        """Vertices outside H with one range outside H, reached by one edge."""
+        W = 0
+        keep = ~H
+        for v, once in enumerate(self.once):
+            left = self.succ[v] & keep
+            if left & once and not left & (left - 1):
+                W |= 1 << v
+        return W & keep
 
     # -- cycles ----------------------------------------------------------------
 
@@ -310,21 +325,16 @@ class Digraph:
         return self._forked
 
     def _find_forked(self) -> int:
+        """A range of v counts once it is in once[v] and no other range in
+        succ[v] reaches it; a range two edges reach reaches itself, so it
+        never counts.  v is forked when two ranges count."""
         forked = 0
         reach = self.reach
-        for v in range(self.n):
-            es = self.out_edges[v]
-            if len(es) < 2:
-                continue
-            ranges = [self.edges[e][1] for e in es]
-            hits = 0
-            for i, ri in enumerate(ranges):
-                if all(not reach[rj] >> ri & 1
-                       for j, rj in enumerate(ranges) if j != i):
-                    hits += 1
-                    if hits == 2:
-                        forked |= 1 << v
-                        break
+        for v, (succ, once) in enumerate(zip(self.succ, self.once)):
+            lone = [r for r in bits(once) if not any(
+                reach[u] >> r & 1 for u in bits(succ & ~(1 << r)))]
+            if len(lone) >= 2:
+                forked |= 1 << v
         return forked
 
     # -- paths -------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .graphs import CapExceeded, Digraph, bits, mask_of
+from .graphs import CapExceeded, Digraph, bits
 from . import triples
 from .triples import WangTriple
 
@@ -108,29 +108,11 @@ class FiniteLattice:
         return covers
 
 
-def eligible_sets(graph: Digraph, cap: int | None = None):
-    """Each hereditary set H with the mask of vertices W may draw from:
-    those outside H keeping exactly one out-edge once H is removed, that is
-    whose ranges outside H are one vertex, reached by one edge (a vertex of
-    H has no range outside it).  More than cap hereditary sets raise
-    CapExceeded, see Digraph.hereditary_sets."""
-    ranges = [[graph.edges[e][1] for e in es] for es in graph.out_edges]
-    once = [mask_of(r for r in rs if rs.count(r) == 1) for rs in ranges]
-    out = []
-    for H in graph.hereditary_sets(cap):
-        W = 0
-        for v, succ in enumerate(graph.succ):
-            left = succ & ~H
-            if left & once[v] and left.bit_count() == 1:
-                W |= 1 << v
-        out.append((H, W))
-    return out
-
-
 class ConLattice(FiniteLattice):
     """The congruence lattice of a finite acyclic graph: the triples
-    (H, W, ∅) with W ⊆ eligible(H) (Wang, J. Algebra 2019), ordered by
-    inclusion of U = H ∪ W and numbered by (|U|, U).
+    (H, W, ∅) with W ⊆ graph.eligible(H), for each hereditary H (Wang,
+    J. Algebra 2019), ordered by inclusion of U = H ∪ W and numbered by
+    (|U|, U).
 
     H is H* = {v ∈ U : reach(v) ⊆ U}, the largest hereditary subset of U:
     were H* \\ H not empty, it would hold a vertex w reaching no other of
@@ -156,12 +138,13 @@ class ConLattice(FiniteLattice):
         if not graph.is_acyclic():
             raise ValueError("graph has cycles; its congruence lattice is infinite")
         try:
-            eligible = eligible_sets(graph, cap)
+            hereditary = graph.hereditary_sets(cap)
         except CapExceeded as exc:
             if exc.cap != cap:  # HEREDITARY_CAP, lower than cap, tripped
                 raise
             # each hereditary H gives at least the element (H, ∅)
             raise CapExceeded("lattice elements", exc.size, cap) from None
+        eligible = [(H, graph.eligible(H)) for H in hereditary]
         total = sum(1 << elig.bit_count() for _, elig in eligible)
         if total > cap:
             raise CapExceeded("lattice elements", total, cap)
@@ -332,7 +315,7 @@ def predicate_condition_iv(graph: Digraph) -> bool:
     if not graph.is_simple():
         raise ValueError("requires a simple graph (acyclic, no parallel edges)")
     for v in range(graph.n):
-        ranges = [graph.edges[e][1] for e in graph.out_edges[v]]
+        ranges = list(bits(graph.succ[v]))
         for i, ri in enumerate(ranges):
             for rj in ranges[i + 1:]:
                 if not (graph.geq(ri, rj) or graph.geq(rj, ri)):
@@ -347,18 +330,17 @@ def predicate_atomistic(graph: Digraph) -> bool:
     out-range above it.  A vertex v with one out-edge v -> r lies on a
     cycle iff r reaches v, since every cycle through v leaves by that
     edge."""
-    for v in range(graph.n):
-        out = graph.out_edges[v]
-        if not out:
+    one = graph.eligible(0)
+    for v, succ in enumerate(graph.succ):
+        if not succ:
             continue
-        if len(out) == 1:
-            if graph.reach[graph.edges[out[0]][1]] >> v & 1:
+        if one >> v & 1:
+            if graph.reach[succ.bit_length() - 1] >> v & 1:
                 return False
-            if not any(u != v and len(graph.out_edges[u]) != 1
-                       for u in bits(graph.reach[v])):
+            if not graph.reach[v] & ~(1 << v) & ~one:
                 return False
         else:
-            if not all(graph.geq(graph.edges[e][1], v) for e in out):
+            if not all(graph.geq(r, v) for r in bits(succ)):
                 return False
     return True
 
@@ -373,21 +355,16 @@ def minimal_generating_set(graph: Digraph):
     if not graph.is_simple():
         raise ValueError("requires a simple graph (acyclic, no parallel edges)")
     gens = []
-    for v in range(graph.n):
-        if not graph.out_edges[v]:
+    for v, succ in enumerate(graph.succ):
+        if not succ:
             gens.append(WangTriple(graph, 1 << v, 0))
-    for v in range(graph.n):
-        out = graph.out_edges[v]
-        if not out:
+    for v, succ in enumerate(graph.succ):
+        if not succ:
             continue
         cands = set()
-        for e in out:
-            others = 0
-            for e2 in out:
-                if e2 != e:
-                    others |= 1 << graph.edges[e2][1]
-            H = graph.hereditary_closure(others)
-            if not H >> graph.edges[e][1] & 1:
+        for r in bits(graph.once[v]):
+            H = graph.hereditary_closure(succ & ~(1 << r))
+            if not H >> r & 1:
                 cands.add(H)
         for H in sorted(cands):
             if not any(other != H and other & ~H == 0 for other in cands):

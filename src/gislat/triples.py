@@ -72,11 +72,10 @@ class WangTriple:
             raise ValueError("H is not hereditary")
         if W & H:
             raise ValueError("W meets H")
-        for w in bits(W):
-            if graph.out_degree_minus(w, H) != 1:
-                raise ValueError(
-                    f"vertex {graph.names[w]!r} does not have exactly one "
-                    f"out-edge surviving H")
+        w = next(bits(W & ~graph.eligible(H)), None)
+        if w is not None:
+            raise ValueError(f"vertex {graph.names[w]!r} does not have "
+                             f"exactly one out-edge surviving H")
         store = {}
         for c, val in dict(f).items():
             c = tuple(c)
@@ -262,20 +261,15 @@ def _cover_kind(t1: WangTriple, t2: WangTriple):
     # H1 strictly below H2
     if t1.W & ~t2.H != t2.W:
         return None
-    gained = 0
-    for v in bits(t2.H & ~t1.H):
-        if g.out_degree_minus(v, t1.H) == 1:
-            gained |= 1 << v
-    if t1.W & t2.H != gained:
+    if t1.W & t2.H != t2.H & ~t1.H & g.eligible(t1.H):
         return None
     if not _f_equal(t1, t2, g.cycles_in(t1.W)):
         return None
-    edges = g.edges
+    succ = g.succ
     for h in g.hereditary_interval(t1.H, t2.H) - {t1.H, t2.H}:
         # strictly intermediate hereditary set: some W1-vertex outside it
         # must have all its out-edges ranging into it
-        if not any(all(h >> edges[e][1] & 1 for e in g.out_edges[v])
-                   for v in bits(t1.W & ~h)):
+        if not any(succ[v] & ~h == 0 for v in bits(t1.W & ~h)):
             return None
     return "h"
 
@@ -300,14 +294,10 @@ def atoms(graph: Digraph):
     """All atoms: singleton-W triples over an empty H, and hereditary
     strongly connected components whose non-sink vertices all have two or
     more out-edges."""
-    out = []
-    for v in range(graph.n):
-        if graph.out_degree_minus(v, 0) == 1:
-            out.append(WangTriple(graph, 0, 1 << v))
+    one = graph.eligible(0)
+    out = [WangTriple(graph, 0, 1 << v) for v in bits(one)]
     for comp in graph.strongly_connected_components():
-        if not graph.is_hereditary(comp):
-            continue
-        if all(len(graph.out_edges[v]) != 1 for v in bits(comp)):
+        if graph.is_hereditary(comp) and not comp & one:
             out.append(WangTriple(graph, comp, 0))
     return out
 

@@ -4,6 +4,8 @@ from gislat.graphs import build_graph
 from gislat.lattice import FiniteLattice
 from gislat.triples import WangTriple
 
+import oracles
+
 
 def make_split_graph():
     """a feeds b which splits to the sinks c and d; its lattice has 14
@@ -64,7 +66,7 @@ def brute_force_type_congruences(g):
             out.append(WangTriple(g, 1 << v, 0))
             continue
         good = [H for H in hsets
-                if not H >> v & 1 and g.out_degree_minus(v, H) == 1]
+                if not H >> v & 1 and oracles.out_degree_minus(g, v, H) == 1]
         for H in good:
             if not any(other != H and other & ~H == 0 for other in good):
                 out.append(WangTriple(g, H, 1 << v))

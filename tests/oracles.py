@@ -13,10 +13,12 @@ Light's test replaced, and the enumeration by joins with every principal
 congruence that joins with the join-irreducibles replaced.  Then comes the
 census canonical form over all n! vertex permutations, which colour
 refinement replaced, the atomistic graph predicate over the cycle list,
-which reachability replaced, the calculus's dead-end and J steps
-scanning edges one by one, which the range masks Digraph.succ replaced,
-and last the lattice's JSON and DOT rendered from its triples, which
-rendering from the (H, W) masks replaced.
+which reachability replaced, and the out-edge counts taken edge by edge,
+which the range masks Digraph.succ and Digraph.once replaced: the
+surviving out-degree out_degree_minus, the forked vertices
+forked_by_edges, and the calculus's dead-end and J steps.  Last come the
+lattice's JSON and DOT rendered from its triples, which rendering from the
+(H, W) masks replaced.
 They are slow and only serve as ground truth.  The join and meet read off
 the order rows up and down, row_join and row_meet, live here too: the
 library has joins and meets on ConLattice only, from the triple calculus,
@@ -421,10 +423,34 @@ def atomistic_predicate(graph) -> bool:
     return True
 
 
-# -- the calculus's edge scans --------------------------------------------------
+# -- out-edges counted edge by edge -------------------------------------------
 #
-# join and meet read whether a vertex keeps an out-edge, or has one into J,
-# off its range mask Digraph.succ.  These scan its out-edges instead.
+# The library reads how many out-edges of a vertex survive a set H, which
+# vertices are forked, and whether a vertex keeps an out-edge or has one
+# into J, off the range masks Digraph.succ and Digraph.once.  These scan
+# its out-edges instead.
+
+
+def out_degree_minus(g, v, H) -> int:
+    """Test oracle for Digraph.eligible: the number of edges from v, a
+    vertex outside H, whose range survives removal of H."""
+    if H >> v & 1:
+        raise ValueError("vertex lies in the removed set")
+    return sum(1 for e in g.out_edges[v] if not H >> g.edges[e][1] & 1)
+
+
+def forked_by_edges(g) -> int:
+    """Test oracle for Digraph.forked_vertices: the vertices with two
+    out-edges whose ranges no other co-initial edge's range reaches."""
+    forked = 0
+    for v in range(g.n):
+        ranges = [g.edges[e][1] for e in g.out_edges[v]]
+        hits = sum(1 for i, ri in enumerate(ranges)
+                   if all(not g.reach[rj] >> ri & 1
+                          for j, rj in enumerate(ranges) if j != i))
+        if hits >= 2:
+            forked |= 1 << v
+    return forked
 
 
 def dead_ends_by_edges(t1, t2):
@@ -433,7 +459,7 @@ def dead_ends_by_edges(t1, t2):
     g = t1.graph
     h12 = t1.H | t2.H
     return mask_of(v for v in bits((t1.W | t2.W) & ~h12)
-                   if g.out_degree_minus(v, h12) == 0)
+                   if out_degree_minus(g, v, h12) == 0)
 
 
 def join_hw_by_edges(t1, t2):

@@ -30,7 +30,7 @@ def triples_on(draw, g):
     """H hereditary, W eligible for H, f drawn on the cycles through W."""
     H = draw(st.sampled_from(g.hereditary_sets()))
     eligible = [v for v in range(g.n)
-                if not H >> v & 1 and g.out_degree_minus(v, H) == 1]
+                if not H >> v & 1 and oracles.out_degree_minus(g, v, H) == 1]
     picks = draw(st.lists(st.booleans(), min_size=len(eligible),
                           max_size=len(eligible)))
     W = sum(1 << v for v, pick in zip(eligible, picks) if pick)

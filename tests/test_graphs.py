@@ -144,6 +144,16 @@ def test_hereditary_sets_cap_holds_once_cached(monkeypatch):
     assert len(g.hereditary_sets()) == 6
 
 
+@pytest.mark.parametrize("cap", [10, 40, 100])
+def test_hereditary_cap_trips_on_the_set_past_it(cap):
+    """On 6 disjoint edges (3**6 = 729 hereditary sets) the enumeration
+    stops on the set that passes the cap, not at the end of a doubling."""
+    g = Digraph(range(12), [(2 * i, 2 * i + 1) for i in range(6)])
+    with pytest.raises(CapExceeded) as info:
+        g.hereditary_sets(cap)
+    assert (info.value.size, info.value.cap) == (cap + 1, cap)
+
+
 def test_hereditary_interval_is_the_sets_between():
     rnd = random.Random(5)
     for _ in range(40):
@@ -201,14 +211,22 @@ def test_succ_masks_the_ranges_of_out_edges():
             assert g.succ[v] == mask_of(g.edges[e][1] for e in g.out_edges[v])
 
 
-def test_out_degree_minus(split_graph):
-    b = split_graph.vertex("b")
-    assert split_graph.out_degree_minus(b, split_graph.vertex_set("c")) == 1
-    assert split_graph.out_degree_minus(b, 0) == 2
-    g = make_parallel_pair()
-    assert g.out_degree_minus(g.vertex("m"), g.vertex_set("l")) == 2
+def test_eligible(split_graph):
+    """eligible(H) holds b once one of its two out-edges survives H, never
+    a vertex of H, and no vertex whose one surviving range two parallel
+    edges reach."""
+    g = split_graph
+    b = g.vertex("b")
+    assert g.eligible(g.vertex_set("c")) == g.vertex_set("ab")
+    assert g.eligible(0) == g.vertex_set("a")
+    assert g.eligible(g.vertex_set("bcd")) == 0
+    assert oracles.out_degree_minus(g, b, g.vertex_set("c")) == 1
+    assert oracles.out_degree_minus(g, b, 0) == 2
     with pytest.raises(ValueError):
-        split_graph.out_degree_minus(b, split_graph.vertex_set("bcd"))
+        oracles.out_degree_minus(g, b, g.vertex_set("bcd"))
+    g = make_parallel_pair()
+    assert oracles.out_degree_minus(g, g.vertex("m"), g.vertex_set("l")) == 2
+    assert not g.eligible(g.vertex_set("l")) >> g.vertex("m") & 1
 
 
 def test_cycles_loop_and_acyclic(split_graph, loop):
@@ -287,15 +305,20 @@ def on_cycle_by_reach(g):
                    if any(g.reach[g.edges[e][1]] >> v & 1 for e in g.out_edges[v]))
 
 
+def multigraph_family():
+    """The acyclic multigraphs on 4 vertices with up to 6 edges, and 600
+    seeded random multigraphs with loops, back edges and parallel edges."""
+    rnd = random.Random(41)
+    return acyclic_multigraphs(4, 6) + [random_graph(rnd, 6, 10)
+                                        for _ in range(600)]
+
+
 def test_reach_answers_what_the_cycle_list_answers():
     """Acyclicity, lying on a cycle and the atomistic predicate read off
     reachability agree with the cycle list, on the acyclic multigraphs and
     on random multigraphs with loops, back edges and parallel edges."""
-    rnd = random.Random(41)
-    family = acyclic_multigraphs(4, 6) + [random_graph(rnd, 6, 10)
-                                          for _ in range(600)]
     seen = set()
-    for g in family:
+    for g in multigraph_family():
         cycles = g.cycles()
         on_cycle = 0
         for c in cycles:
@@ -308,6 +331,28 @@ def test_reach_answers_what_the_cycle_list_answers():
                  ("loop", any(s == r for s, r in g.edges)),
                  ("parallel", g.has_parallel_edges())}
     assert len(seen) == 8
+
+
+def test_masks_match_edge_by_edge_counts():
+    """once, eligible(H) for every hereditary H, and the forked vertices
+    agree with counting out-edges one by one, on multigraphs with loops and
+    parallel edges."""
+    seen = set()
+    for g in multigraph_family() + [make_loop(), make_two_loop_scc(),
+                                    make_parallel_pair()]:
+        for v in range(g.n):
+            ranges = [g.edges[e][1] for e in g.out_edges[v]]
+            assert g.once[v] == mask_of(r for r in ranges
+                                        if ranges.count(r) == 1)
+        for H in g.hereditary_sets():
+            assert g.eligible(H) == mask_of(
+                v for v in range(g.n) if not H >> v & 1
+                and oracles.out_degree_minus(g, v, H) == 1)
+        assert g.forked_vertices() == oracles.forked_by_edges(g)
+        seen |= {("forked", bool(g.forked_vertices())),
+                 ("parallel", g.has_parallel_edges()),
+                 ("cyclic", not g.is_acyclic())}
+    assert len(seen) == 6
 
 
 def test_forked_vertices(split_graph):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from gislat.graphs import CapExceeded, Digraph, bits, build_graph, mask_of
-from gislat.lattice import (FiniteLattice, eligible_sets, enumerate_lattice,
+from gislat.graphs import CapExceeded, Digraph, bits, build_graph
+from gislat.lattice import (FiniteLattice, enumerate_lattice,
                             generated_sublattice, is_atomistic_lattice,
                             is_distributive, is_lower_semimodular,
                             is_modular, is_upper_semimodular,
@@ -18,7 +18,7 @@ from gislat.census import (acyclic_multigraphs, connected_simple_graphs,
 import oracles
 from conftest import (brute_force_type_congruences, chain, m3, make_loop,
                       make_parallel_pair, make_path3, make_atomistic_example,
-                      make_two_loop_scc, n5)
+                      n5)
 
 
 def test_enumerate_lattice_sizes(split_graph, path3):
@@ -35,18 +35,6 @@ def test_enumerate_lattice_rejects_cycles(loop):
 def test_enumerate_lattice_cap(split_graph):
     with pytest.raises(CapExceeded):
         enumerate_lattice(split_graph, cap=10)
-
-
-def test_eligible_sets_count_surviving_out_edges():
-    """W may draw on the vertices with exactly one out-edge surviving H,
-    counted edge by edge, parallel edges and loops included."""
-    graphs = acyclic_multigraphs(4, 5) + [make_loop(), make_two_loop_scc(),
-                                          make_parallel_pair()]
-    for g in graphs:
-        assert eligible_sets(g) == [
-            (H, mask_of(v for v in range(g.n) if not H >> v & 1
-                        and g.out_degree_minus(v, H) == 1))
-            for H in g.hereditary_sets()]
 
 
 def test_elements_are_built_from_the_masks():

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from gislat.graphs import build_graph
+from gislat.graphs import Digraph, bits, build_graph
 from gislat.triples import (INF, WangTriple, atoms, covers,
                             downward_directed_check, divides, ext_gcd,
                             ext_lcm, generating_pairs, is_prime, join, leq,
@@ -21,7 +23,7 @@ def all_triples(g, f_values=(1,)):
     out = []
     for H in g.hereditary_sets():
         elig = [v for v in range(g.n)
-                if not H >> v & 1 and g.out_degree_minus(v, H) == 1]
+                if not H >> v & 1 and oracles.out_degree_minus(g, v, H) == 1]
         for pick in range(1 << len(elig)):
             W = 0
             for k, v in enumerate(elig):
@@ -193,6 +195,47 @@ def test_atoms_have_empty_open_interval_below(loop):
         for t in grid:
             assert not (leq(bottom, t) and leq(t, a)
                         and t != bottom and t != a)
+
+
+def forked_cyclic_multigraphs(rnd, count):
+    """Random multigraphs on at most 4 vertices, loops and parallel edges
+    included, kept when they have a forked vertex and 1 to 3 cycles."""
+    out = []
+    while len(out) < count:
+        n = rnd.randint(1, 4)
+        edges = [(rnd.randrange(n), rnd.randrange(n))
+                 for _ in range(rnd.randint(2, 5))]
+        g = Digraph([f"v{i}" for i in range(n)], edges)
+        if g.forked_vertices() and not g.is_acyclic() and len(g.cycles()) <= 3:
+            out.append(g)
+    return out
+
+
+def test_covers_match_brute_force_on_forked_cyclic_multigraphs():
+    """covers(t1, t2) holds iff no triple of the grid lies strictly between.
+    The grid's finite values are the divisors of 12, so it holds every
+    triple between t1 and t2 unless some cycle goes from INF under t1 to a
+    finite value under t2, whose multiples leave the grid: such pairs are
+    skipped."""
+    seen = set()
+    for g in forked_cyclic_multigraphs(random.Random(7), 40):
+        ts = all_triples(g, f_values=(1, 2, 3, 4, 6, 12))
+        cycles = g.cycles()
+        up = [sum(1 << j for j, b in enumerate(ts) if leq(a, b)) for a in ts]
+        down = [sum(1 << i for i in range(len(ts)) if up[i] >> j & 1)
+                for j in range(len(ts))]
+        for i, t1 in enumerate(ts):
+            for j in bits(up[i] & ~(1 << i)):
+                t2 = ts[j]
+                if any(t1.value(c) == INF and t2.value(c) != INF
+                       for c in cycles):
+                    continue
+                cover = up[i] & down[j] == 1 << i | 1 << j
+                assert covers(t1, t2) == cover, (g, t1, t2)
+                if cover:
+                    seen.add("h" if t1.H != t2.H else
+                             "w" if t1.W != t2.W else "f")
+    assert seen == {"h", "w", "f"}
 
 
 def test_downward_directed_check_cyclic():
