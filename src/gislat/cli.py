@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 from itertools import groupby
 
 from .graphs import CapExceeded, Digraph
@@ -103,27 +104,19 @@ def graph_json(graph: Digraph) -> dict:
             "edges": [[graph.names[s], graph.names[r]] for s, r in graph.edges]}
 
 
-class _PerMask(dict):
-    """mask -> render(mask), each mask rendered once.  A lattice repeats
-    each H across all its W, so a few hundred masks name thousands of
-    elements."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, mask):
-        self[mask] = value = self.render(mask)
-        return value
+def dot_escape(text: str) -> str:
+    """text inside a DOT double-quoted string: backslash and quote escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def lattice_json(lat: ConLattice, properties: bool = False) -> dict:
     doc = {"format": JSON_FORMAT}
     doc.update(graph_json(lat.graph))
     # triple_json of each element, read off the masks: an acyclic graph's
-    # triples have no cycle function
-    names = _PerMask(lat.graph.vertex_names)
-    doc["elements"] = [{"H": names[H], "W": names[W]} for H, W in lat.masks]
+    # triples have no cycle function.  A lattice repeats each H across all
+    # its W, so a few hundred masks name thousands of elements.
+    names = cache(lat.graph.vertex_names)
+    doc["elements"] = [{"H": names(H), "W": names(W)} for H, W in lat.masks]
     doc["covers"] = lat.cover_list
     doc["bottom"] = lat.bottom
     doc["top"] = lat.top
@@ -149,9 +142,9 @@ def lattice_dot(lat: ConLattice) -> str:
     lines = ["digraph conlat {", "  rankdir=BT;", "  node [shape=box];"]
     # each label is the element's triple as repr prints it
     names = lat.graph.vertex_names
-    braces = _PerMask(lambda mask: "{" + ",".join(names(mask)) + "}")
+    braces = cache(lambda mask: dot_escape("{" + ",".join(names(mask)) + "}"))
     for i, (H, W) in enumerate(lat.masks):
-        lines.append(f'  n{i} [label="({braces[H]}, {braces[W]}, ∅)"];')
+        lines.append(f'  n{i} [label="({braces(H)}, {braces(W)}, ∅)"];')
     for i, j in lat.cover_list:
         lines.append(f"  n{i} -> n{j};")
     # every chain from the bottom to an element has |H u W| steps, and the
@@ -267,8 +260,7 @@ def cmd_oracle(args) -> int:
     graph = parse_graph_file(args.path)
     table = _oracle.build_semigroup(graph, element_cap=args.oracle_cap)
     bad = _oracle.associativity_violations(table)
-    report = _oracle.verify_isomorphism(graph, lattice_cap=args.cap,
-                                        table=table)
+    report = _oracle.verify_isomorphism(graph, table=table)
     failures = list(report.failures)
     if bad:
         failures.insert(0, f"{len(bad)} associativity violations")
@@ -352,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generators)
 
     p = sub.add_parser("oracle", help="brute-force congruence cross-check")
-    add_common(p)
+    add_common(p, with_cap=False)
     p.add_argument("--oracle-cap", type=int,
                    default=_oracle.DEFAULT_ELEMENT_CAP,
                    help="semigroup size cap")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .graphs import CapExceeded, Digraph
 from . import triples as _triples
-from .lattice import DEFAULT_LATTICE_CAP, enumerate_lattice
+from .lattice import enumerate_lattice
 
 DEFAULT_ELEMENT_CAP = 400
 # Bounds the isomorphism check, which runs the calculus's join and meet on
@@ -430,7 +430,6 @@ class IsoReport:
 
 
 def verify_isomorphism(graph: Digraph,
-                       lattice_cap: int = DEFAULT_LATTICE_CAP,
                        table: MulTable | None = None) -> IsoReport:
     """Check that triples map bijectively onto the semigroup's congruences,
     matching order, joins, and meets; failures carry concrete witnesses.
@@ -438,6 +437,8 @@ def verify_isomorphism(graph: Digraph,
     table carries its own element cap, and without one the semigroup is
     built under DEFAULT_ELEMENT_CAP.  The congruences are enumerated
     first, so their cap trips before any triple's seed pairs are closed.
+    The lattice is built under the same cap: on a passing run it has as
+    many elements as there are congruences.
 
     Each triple t_a keeps its seed pairs G_a, the generating pairs that
     realize_triple closes, so its realized partition P_a is the least
@@ -453,7 +454,7 @@ def verify_isomorphism(graph: Digraph,
     if table is None:
         table = build_semigroup(graph)
     congs = enumerate_congruences(table)
-    lat = enumerate_lattice(graph, lattice_cap)
+    lat = enumerate_lattice(graph, CONGRUENCE_CAP)
     seeds = [seed_pairs(t, table) for t in lat.elements]
     realized = [realize_triple(t, table) for t in lat.elements]
     failures = []

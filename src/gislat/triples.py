@@ -153,16 +153,17 @@ def _same_graph(t1: WangTriple, t2: WangTriple) -> Digraph:
 
 def leq(t1: WangTriple, t2: WangTriple) -> bool:
     """The containment order: H grows, W survives outside the new H, and
-    the second cycle function divides the first everywhere."""
-    g = _same_graph(t1, t2)
+    the second cycle function divides the first everywhere.
+
+    Only the cycles where f1 is stored need a test: where f1 is forced to
+    1 the cycle lies inside H1, so inside H2, and f2 is 1 there too; where
+    it is forced to infinity every value divides it."""
+    _same_graph(t1, t2)
     if t1.H & ~t2.H:
         return False
     if (t1.W & ~t2.H) & ~t2.W:
         return False
-    for c in g.cycles_in(t1.H | t1.W | t2.H | t2.W):
-        if not divides(t2.value(c), t1.value(c)):
-            return False
-    return True
+    return all(divides(t2.value(c), v) for c, v in t1._fmap.items())
 
 
 def _v0(g: Digraph, t1: WangTriple, t2: WangTriple) -> int:
@@ -236,17 +237,17 @@ def meet_no_fork(t1: WangTriple, t2: WangTriple) -> WangTriple:
     return _result(g, t1, t2, t1.H & t2.H, W, ext_lcm)
 
 
-def _f_equal(t1, t2, cycles) -> bool:
-    return all(t1.value(c) == t2.value(c) for c in cycles)
-
-
 def _cover_kind(t1: WangTriple, t2: WangTriple):
     """Which cover shape t1 < t2 exhibits: 'f' (one cycle value drops by a
-    prime), 'w' (W gains one vertex), 'h' (H grows), or None."""
-    g = t1.graph
+    prime), 'w' (W gains one vertex), 'h' (H grows), or None.
+
+    With H and W equal, both cycle functions are forced alike wherever
+    neither is stored.  When W gains v, every cycle through v leaves
+    H u W1, so f1 is infinity there; f1 = f2 then holds iff f2 stores
+    nothing there and both store the same values elsewhere."""
     if t1.H == t2.H:
         if t1.W == t2.W:
-            diffs = [c for c in g.cycles_in(t1.W)
+            diffs = [c for c in t1._fmap.keys() | t2._fmap.keys()
                      if t1.value(c) != t2.value(c)]
             if len(diffs) != 1:
                 return None
@@ -256,14 +257,14 @@ def _cover_kind(t1: WangTriple, t2: WangTriple):
             return "f" if is_prime(a // b) else None
         if (t2.W & ~t1.W).bit_count() != 1:
             return None
-        cycles = set(g.cycles_in(t1.H | t1.W)) | set(g.cycles_in(t2.H | t2.W))
-        return "w" if _f_equal(t1, t2, cycles) else None
+        return "w" if t1.f == t2.f else None
     # H1 strictly below H2
+    g = t1.graph
     if t1.W & ~t2.H != t2.W:
         return None
     if t1.W & t2.H != t2.H & ~t1.H & g.eligible(t1.H):
         return None
-    if not _f_equal(t1, t2, g.cycles_in(t1.W)):
+    if any(t1.value(c) != t2.value(c) for c in g.cycles_in(t1.W)):
         return None
     succ = g.succ
     for h in g.hereditary_interval(t1.H, t2.H) - {t1.H, t2.H}:

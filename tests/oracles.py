@@ -16,9 +16,10 @@ refinement replaced, the atomistic graph predicate over the cycle list,
 which reachability replaced, and the out-edge counts taken edge by edge,
 which the range masks Digraph.succ and Digraph.once replaced: the
 surviving out-degree out_degree_minus, the forked vertices
-forked_by_edges, and the calculus's dead-end and J steps.  Last come the
-lattice's JSON and DOT rendered from its triples, which rendering from the
-(H, W) masks replaced.
+forked_by_edges, and the calculus's dead-end and J steps.  Then come the
+triple order and cover shapes over every cycle of the graph, which reading
+the stored cycle values replaced, and last the lattice's JSON and DOT
+rendered from its triples, which rendering from the (H, W) masks replaced.
 They are slow and only serve as ground truth.  The join and meet read off
 the order rows up and down, row_join and row_meet, live here too: the
 library has joins and meets on ConLattice only, from the triple calculus,
@@ -30,12 +31,13 @@ that repeat pairs share one memo per lattice.
 from functools import cache, partial
 from itertools import groupby, permutations
 
-from gislat.cli import (JSON_FORMAT, graph_json, lattice_properties,
-                        triple_json)
+from gislat.cli import (JSON_FORMAT, dot_escape, graph_json,
+                        lattice_properties, triple_json)
 from gislat.graphs import bits, mask_of
 from gislat.lattice import FiniteLattice
 from gislat.oracle import (generated_congruence, inverse, partition_join,
                            principal_congruences)
+from gislat.triples import INF, divides, is_prime
 
 
 def all_pairs_order(elements):
@@ -488,6 +490,59 @@ def meet_hw_by_edges(t1, t2):
     return t1.H & t2.H, W
 
 
+# -- the order and covers over the cycle list ---------------------------------
+#
+# triples.leq and the f- and W-shapes of triples._cover_kind read the cycle
+# functions only where they are stored.  These compare them on every cycle
+# of the graph inside the triples' H u W.
+
+
+def leq_by_scan(t1, t2) -> bool:
+    """Test oracle for triples.leq: f2 divides f1 tested on every cycle
+    inside H1 u W1 u H2 u W2."""
+    g = t1.graph
+    if t1.H & ~t2.H:
+        return False
+    if (t1.W & ~t2.H) & ~t2.W:
+        return False
+    return all(divides(t2.value(c), t1.value(c))
+               for c in g.cycles_in(t1.H | t1.W | t2.H | t2.W))
+
+
+def cover_kind_by_scan(t1, t2):
+    """Test oracle for triples._cover_kind: every cycle value compared
+    through the cycle list."""
+    g = t1.graph
+
+    def f_equal(cycles):
+        return all(t1.value(c) == t2.value(c) for c in cycles)
+
+    if t1.H == t2.H:
+        if t1.W == t2.W:
+            diffs = [c for c in g.cycles_in(t1.W)
+                     if t1.value(c) != t2.value(c)]
+            if len(diffs) != 1:
+                return None
+            a, b = t1.value(diffs[0]), t2.value(diffs[0])
+            if a == INF:
+                return None
+            return "f" if is_prime(a // b) else None
+        if (t2.W & ~t1.W).bit_count() != 1:
+            return None
+        cycles = set(g.cycles_in(t1.H | t1.W)) | set(g.cycles_in(t2.H | t2.W))
+        return "w" if f_equal(cycles) else None
+    if t1.W & ~t2.H != t2.W:
+        return None
+    if t1.W & t2.H != t2.H & ~t1.H & g.eligible(t1.H):
+        return None
+    if not f_equal(g.cycles_in(t1.W)):
+        return None
+    for h in g.hereditary_interval(t1.H, t2.H) - {t1.H, t2.H}:
+        if not any(g.succ[v] & ~h == 0 for v in bits(t1.W & ~h)):
+            return None
+    return "h"
+
+
 # -- the lattice rendered from its triples -------------------------------------
 #
 # cli.lattice_json and cli.lattice_dot read each element's (H, W) masks and
@@ -516,7 +571,7 @@ def lattice_dot_by_triples(lat):
     """Test oracle for cli.lattice_dot: each label is repr of the triple."""
     lines = ["digraph conlat {", "  rankdir=BT;", "  node [shape=box];"]
     for i, t in enumerate(lat.elements):
-        lines.append(f'  n{i} [label="{t!r}"];')
+        lines.append(f'  n{i} [label="{dot_escape(repr(t))}"];')
     for i, j in cover_pairs(lat):
         lines.append(f"  n{i} -> n{j};")
     size = [(t.H | t.W).bit_count() for t in lat.elements]

@@ -295,6 +295,41 @@ def test_rendering_from_masks_matches_rendering_from_triples():
         assert lattice_dot(lat) == oracles.lattice_dot_by_triples(lat)
 
 
+def test_dot_labels_escape_quotes_and_backslashes(tmp_path):
+    """A vertex name may hold " or \\; each label stays one DOT string, and
+    unescaped it is the element's triple as repr prints it."""
+    path = write(tmp_path, "quoted.graph",
+                 'vertex a"b\nvertex c\\d\nedge a"b c\\d\n')
+    dot = tmp_path / "quoted.dot"
+    assert main(["lattice", path, "--dot", str(dot)]) == 0
+    text = dot.read_text(encoding="utf-8")
+    assert '  n1 [label="({}, {a\\"b}, ∅)"];' in text
+    assert '  n2 [label="({c\\\\d}, {}, ∅)"];' in text
+    lat = enumerate_lattice(parse_graph_text(Path(path).read_text()))
+    labels = re.findall(r'^  n\d+ \[label="((?:[^"\\]|\\.)*)"\];$', text,
+                        re.MULTILINE)
+    assert [re.sub(r"\\(.)", r"\1", s) for s in labels] == \
+        [repr(t) for t in lat.elements]
+    assert text == oracles.lattice_dot_by_triples(lat)
+
+
+def test_subcommand_options_match_frozen_table():
+    """Every subcommand's options, frozen: a knob added or removed shows
+    here first."""
+    sub = next(a for a in PARSER._actions if a.dest == "command")
+    got = {name: sorted(opt for action in p._actions
+                        for opt in action.option_strings
+                        if opt not in ("-h", "--help"))
+           for name, p in sub.choices.items()}
+    assert got == {
+        "check": ["--json"],
+        "lattice": ["--cap", "--dot", "--json", "--properties"],
+        "generators": ["--cap", "--json"],
+        "oracle": ["--json", "--oracle-cap"],
+        "census": ["--bound", "--json"],
+    }
+
+
 def test_lattice_command_builds_no_triple(tmp_path, monkeypatch, capsys):
     """`lattice` renders JSON, DOT and the laws from the (H, W) masks."""
     built = []

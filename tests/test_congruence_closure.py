@@ -158,7 +158,7 @@ def test_join_irreducible_congruences_are_the_lattice_ones(sweep):
         principals = principal_congruences(table)
         irreducibles = join_irreducible_congruences(principals)
         assert irreducibles.items() <= principals.items()
-        lat = oracle.enumerate_lattice(g, oracle.DEFAULT_LATTICE_CAP)
+        lat = oracle.enumerate_lattice(g)
         assert set(irreducibles) == {
             oracle.realize_triple(lat.elements[i], table)
             for i in join_irreducibles(lat)}, g
@@ -307,9 +307,9 @@ def test_verify_isomorphism_reports_join_outside_the_lattice(
     another graph, is one join mismatch naming the pair, and `gislat
     oracle` reports it as a FAIL with exit 1, not as an input error."""
     g = make_split_graph()
-    lat = oracle.enumerate_lattice(g, oracle.DEFAULT_LATTICE_CAP)
+    lat = oracle.enumerate_lattice(g)
     a, b = lat.elements[1], lat.elements[2]
-    foreign = oracle.enumerate_lattice(path(2), oracle.DEFAULT_LATTICE_CAP)
+    foreign = oracle.enumerate_lattice(path(2))
     real = oracle._triples.join
     monkeypatch.setattr(
         oracle._triples, "join",
@@ -332,7 +332,7 @@ def test_seed_pair_order_is_the_refinement_order(monkeypatch):
     the criterion-02 sweep and on the paths with 5 to 7 vertices."""
     for g in sweep_graphs() + [path(k) for k in (5, 6, 7)]:
         table = build_semigroup(g)
-        lat = oracle.enumerate_lattice(g, oracle.DEFAULT_LATTICE_CAP)
+        lat = oracle.enumerate_lattice(g)
         realized = {t: oracle.realize_triple(t, table) for t in lat.elements}
         monkeypatch.setattr(
             oracle._triples, "leq",
@@ -348,7 +348,7 @@ def split_lattice():
     elements whose congruences have as many blocks."""
     g = make_split_graph()
     table = build_semigroup(g)
-    lat = oracle.enumerate_lattice(g, oracle.DEFAULT_LATTICE_CAP)
+    lat = oracle.enumerate_lattice(g)
     blocks = [max(oracle.realize_triple(t, table)) + 1 for t in lat.elements]
     return g, lat, blocks
 

@@ -147,6 +147,23 @@ def test_verify_isomorphism_split_graph(split_graph):
     assert report.congruence_count == 14
 
 
+def test_verify_isomorphism_builds_lattice_under_congruence_cap(
+        split_graph, monkeypatch):
+    """On a passing run the lattice has as many elements as there are
+    congruences, so the congruence cap, read at call time, bounds both."""
+    caps = []
+    real = oracle.enumerate_lattice
+
+    def recording(graph, cap):
+        caps.append(cap)
+        return real(graph, cap)
+
+    monkeypatch.setattr(oracle, "enumerate_lattice", recording)
+    monkeypatch.setattr(oracle, "CONGRUENCE_CAP", 14)
+    assert verify_isomorphism(split_graph).passed
+    assert caps == [14]
+
+
 def test_verify_isomorphism_parallel_pair(parallel_pair):
     report = verify_isomorphism(parallel_pair)
     assert report.passed, report.failures

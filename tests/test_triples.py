@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gislat.graphs import Digraph, bits, build_graph
-from gislat.triples import (INF, WangTriple, atoms, covers,
+from gislat.triples import (INF, WangTriple, _cover_kind, atoms, covers,
                             downward_directed_check, divides, ext_gcd,
                             ext_lcm, generating_pairs, is_prime, join, leq,
                             meet, meet_no_fork, vertex_element)
@@ -216,17 +216,27 @@ def test_covers_match_brute_force_on_forked_cyclic_multigraphs():
     The grid's finite values are the divisors of 12, so it holds every
     triple between t1 and t2 unless some cycle goes from INF under t1 to a
     finite value under t2, whose multiples leave the grid: such pairs are
-    skipped."""
+    skipped.  On every pair leq, and on every comparable pair the cover
+    shape, agree with the oracles that scan every cycle."""
     seen = set()
     for g in forked_cyclic_multigraphs(random.Random(7), 40):
         ts = all_triples(g, f_values=(1, 2, 3, 4, 6, 12))
         cycles = g.cycles()
-        up = [sum(1 << j for j, b in enumerate(ts) if leq(a, b)) for a in ts]
+        up = []
+        for a in ts:
+            row = 0
+            for j, b in enumerate(ts):
+                below = leq(a, b)
+                assert below == oracles.leq_by_scan(a, b), (g, a, b)
+                row |= below << j
+            up.append(row)
         down = [sum(1 << i for i in range(len(ts)) if up[i] >> j & 1)
                 for j in range(len(ts))]
         for i, t1 in enumerate(ts):
             for j in bits(up[i] & ~(1 << i)):
                 t2 = ts[j]
+                assert _cover_kind(t1, t2) == \
+                    oracles.cover_kind_by_scan(t1, t2), (g, t1, t2)
                 if any(t1.value(c) == INF and t2.value(c) != INF
                        for c in cycles):
                     continue
