@@ -31,7 +31,7 @@ class FiniteLattice:
     an upper cover (the top, n - 1).  The lower covers cover_dn, the list
     of covers, and the reflexive order rows up and down are built from the
     upper covers when first read.  Joins and meets are left to ConLattice,
-    which reads them off the triple calculus.
+    which reads them off the calculus's (H, W) core.
     """
 
     def __init__(self, cover_up):
@@ -126,12 +126,17 @@ class ConLattice(FiniteLattice):
     outside the H* of U1 ∪ {v} it keeps at most one out-edge, and each
     vertex of W1 its one (or it would reach only U1 ∪ {v}): U1 ∪ {v} is a
     union.  So the upper covers are the unions that add one vertex, found
-    by lookup, and every chain from the bottom to t has |U| steps.  Joins
-    and meets delegate to the triple calculus and are not cached.
+    by lookup, and every chain from the bottom to t has |U| steps.
 
-    The elements are stored as masks[i] = (H, W).  The triples in
-    elements, and index from triple to position, are built when first
-    read, so a command that only renders the lattice builds no triple.
+    The elements are stored as masks[i] = (H, W), and by_union maps each
+    union H | W to its index.  Joins and meets run the calculus's own
+    (H, W) core, triples.join_hw and triples.meet_hw, on the masks, and
+    are not cached; the result is looked up by its union and counts only
+    if it has that element's masks, so a calculus that returns masks
+    outside the lattice is caught, not read as the element with the same
+    union.  The triples in elements, and index from triple to position,
+    are built when first read, so a command that only renders the lattice
+    or joins and meets builds no triple.
     """
 
     def __init__(self, graph: Digraph, cap: int = DEFAULT_LATTICE_CAP):
@@ -163,7 +168,7 @@ class ConLattice(FiniteLattice):
         unions = [u for level in levels for u in sorted(level)]
         self.graph = graph
         self.masks = [hw[u] for u in unions]
-        by_union = {u: i for i, u in enumerate(unions)}
+        self.by_union = by_union = {u: i for i, u in enumerate(unions)}
         vertex_bits = [1 << v for v in range(graph.n)]
         cover_up = []
         for u in unions:
@@ -185,17 +190,21 @@ class ConLattice(FiniteLattice):
     def index(self):
         return {t: i for i, t in enumerate(self.elements)}
 
-    def _lookup(self, t, what) -> int:
-        try:
-            return self.index[t]
-        except KeyError:
-            raise ValueError(f"{what} left the element list") from None
+    def _lookup(self, hw, what) -> int:
+        """The index of the element with masks hw, found by its union; a
+        union that is on the list with other masks is not that element."""
+        i = self.by_union.get(hw[0] | hw[1])
+        if i is None or self.masks[i] != hw:
+            raise ValueError(f"{what} left the element list")
+        return i
 
     def join_idx(self, i, j) -> int:
-        return self._lookup(triples.join(self.elements[i], self.elements[j]), "join")
+        return self._lookup(triples.join_hw(self.graph, *self.masks[i],
+                                            *self.masks[j]), "join")
 
     def meet_idx(self, i, j) -> int:
-        return self._lookup(triples.meet(self.elements[i], self.elements[j]), "meet")
+        return self._lookup(triples.meet_hw(self.graph, *self.masks[i],
+                                            *self.masks[j]), "meet")
 
 
 def enumerate_lattice(graph: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> ConLattice:

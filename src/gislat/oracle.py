@@ -12,16 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import CapExceeded, Digraph
+from .graphs import CapExceeded, Digraph, bits, mask_of
 from . import triples as _triples
 from .lattice import enumerate_lattice
 
 DEFAULT_ELEMENT_CAP = 400
-# Bounds the isomorphism check, which runs the calculus's join and meet on
-# all n(n + 1)/2 pairs of the n congruences.  On a 2-core machine `gislat
-# oracle` takes 34–52 s on the graphs with 2,048 congruences tried under
-# the default element cap (11 isolated vertices, 5 disjoint edges and a
-# vertex, the 9- and 10-vertex paths with isolated vertices added).
+# Bounds the isomorphism check, which runs the calculus's (H, W) join and
+# meet on all n(n + 1)/2 pairs of the n congruences.  On a shared 2-core
+# machine `gislat oracle` takes 8–17 s on the graphs with 2,048
+# congruences tried under the default element cap (11 isolated vertices
+# 8.1 s, 5 disjoint edges and a vertex 9.3 s, the 9-vertex path with two
+# isolated vertices 17.3 s and the 10-vertex path with one 13.6 s).
 CONGRUENCE_CAP = 2048
 
 
@@ -444,13 +445,18 @@ def verify_isomorphism(graph: Digraph,
     realize_triple closes, so its realized partition P_a is the least
     congruence containing G_a.  For a congruence Q, P_a <= Q iff Q relates
     every pair of G_a: P_a contains G_a, and Q, a congruence containing
-    G_a, contains the least one.  When the bijection checks pass, every
-    realized partition is a congruence, so this computes the refinement
-    order of the realized partitions exactly, and those partitions are all
-    of Con(S); then R is P v Q iff it is an upper bound of P and Q below
-    every common upper bound, and dually for the meet.  A join or meet that
-    leaves the element list is a mismatch too.  When the bijection checks
-    fail, the report fails anyway."""
+    G_a, contains the least one.  So the row of the elements above a is
+    the AND, over the pairs of G_a, of the row of the realized partitions
+    relating each pair, built once per distinct seed pair; it is compared
+    bit by bit with the row that the calculus's (H, W) order
+    triples.leq_hw gives.  When the bijection checks pass, every realized
+    partition is a congruence, so this computes the refinement order of
+    the realized partitions exactly, and those partitions are all of
+    Con(S); then R is P v Q iff it is an upper bound of P and Q below
+    every common upper bound, and dually for the meet.  The joins and
+    meets come from the lattice, which runs the calculus's (H, W) core on
+    each pair; one that leaves the element list is a mismatch too.  When
+    the bijection checks fail, the report fails anyway."""
     if table is None:
         table = build_semigroup(graph)
     congs = enumerate_congruences(table)
@@ -474,20 +480,36 @@ def verify_isomorphism(graph: Digraph,
     if extra:
         failures.append(f"{len(extra)} realized partitions are not congruences")
 
-    n = len(lat.elements)
-    # up[a] has bit b when realized[a] refines realized[b]; down transposes it
-    up = [0] * n
+    n = len(lat.masks)
+    # rel[pair] has bit b when realized[b] relates the pair, and up[a], the
+    # AND of rel over a's seed pairs, has bit b when realized[a] refines
+    # realized[b]; down transposes up
+    rel = {}
+    up = []
+    for pairs in seeds:
+        row = (1 << n) - 1
+        for pair in pairs:
+            if pair not in rel:
+                x, y = pair
+                rel[pair] = mask_of(b for b, part in enumerate(realized)
+                                    if part[x] == part[y])
+            row &= rel[pair]
+        up.append(row)
     down = [0] * n
-    for a, (ta, pairs) in enumerate(zip(lat.elements, seeds)):
-        for b, (tb, part) in enumerate(zip(lat.elements, realized)):
-            order_t = _triples.leq(ta, tb)
-            order_c = all(part[x] == part[y] for x, y in pairs)
-            if order_c:
-                up[a] |= 1 << b
-                down[b] |= 1 << a
-            if order_t != order_c:
-                failures.append(f"order mismatch at {ta!r} vs {tb!r}: "
-                                f"triple {order_t}, congruence {order_c}")
+    for a, row in enumerate(up):
+        for b in bits(row):
+            down[b] |= 1 << a
+    # the triple order's rows, from the calculus's (H, W) order: an acyclic
+    # graph's triples store no cycle value
+    masks = lat.masks
+    for a, (H1, W1) in enumerate(masks):
+        order_t = mask_of(b for b, (H2, W2) in enumerate(masks)
+                          if _triples.leq_hw(H1, W1, H2, W2))
+        for b in bits(order_t ^ up[a]):
+            order_c = bool(up[a] >> b & 1)
+            failures.append(f"order mismatch at {lat.elements[a]!r} vs "
+                            f"{lat.elements[b]!r}: triple {not order_c}, "
+                            f"congruence {order_c}")
 
     def is_bound(find, rows, i, j):
         """Is find(i, j) common to rows[i] and rows[j], with every common

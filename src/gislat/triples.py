@@ -133,15 +133,21 @@ class WangTriple:
         return self._hash
 
     def __repr__(self):
+        """(H, W, f) with the vertices by name.  f is ∅ on an acyclic
+        graph.  Otherwise it lists the stored values, each as
+        [edge ids]:value, and then the forced ones: 1 in H, when H holds a
+        cycle (an edge s -> r inside it with r reaching s), and ∞ on every
+        other cycle."""
         g = self.graph
         hs = "{" + ",".join(g.names[v] for v in bits(self.H)) + "}"
         ws = "{" + ",".join(g.names[v] for v in bits(self.W)) + "}"
         if g.is_acyclic():
-            fs = "∅"
-        elif not self.f:
-            fs = "1"
-        else:
-            fs = "{" + ", ".join(f"{list(c)}:{v}" for c, v in self.f) + "}"
+            return f"({hs}, {ws}, ∅)"
+        # H is hereditary, so an edge with its source in H lies inside it
+        in_h = any(self.H >> s & 1 and g.reach[r] >> s & 1 for s, r in g.edges)
+        forced = "forced: " + ("1 in H, " if in_h else "") + "∞ elsewhere"
+        stored = [", ".join(f"{list(c)}:{v}" for c, v in self.f)] if self.f else []
+        fs = "{" + "; ".join(stored + [forced]) + "}"
         return f"({hs}, {ws}, {fs})"
 
 
@@ -151,32 +157,71 @@ def _same_graph(t1: WangTriple, t2: WangTriple) -> Digraph:
     return t1.graph
 
 
+def leq_hw(H1: int, W1: int, H2: int, W2: int) -> bool:
+    """The order on the (H, W) parts: H grows and W survives outside the
+    new H.  On an acyclic graph it is the whole order."""
+    return H1 & ~H2 == 0 and W1 & ~H2 & ~W2 == 0
+
+
 def leq(t1: WangTriple, t2: WangTriple) -> bool:
-    """The containment order: H grows, W survives outside the new H, and
-    the second cycle function divides the first everywhere.
+    """The containment order: leq_hw, and the second cycle function
+    divides the first everywhere.
 
     Only the cycles where f1 is stored need a test: where f1 is forced to
     1 the cycle lies inside H1, so inside H2, and f2 is 1 there too; where
     it is forced to infinity every value divides it."""
     _same_graph(t1, t2)
-    if t1.H & ~t2.H:
-        return False
-    if (t1.W & ~t2.H) & ~t2.W:
+    if not leq_hw(t1.H, t1.W, t2.H, t2.W):
         return False
     return all(divides(t2.value(c), v) for c, v in t1._fmap.items())
 
 
-def _v0(g: Digraph, t1: WangTriple, t2: WangTriple) -> int:
-    """Vertices of (W1 u W2) \\ (H1 u H2) with no surviving out-edge: v has
-    one iff some out-edge ranges outside H1 u H2, that is iff its range
-    mask succ[v] leaves H1 u H2, whatever loops or parallel edges v has."""
-    h12 = t1.H | t2.H
+def _v0(g: Digraph, h12: int, ww: int) -> int:
+    """The dead ends V0: the vertices of ww \\ h12 (ww = W1 u W2,
+    h12 = H1 u H2) with no surviving out-edge.  v has one iff some
+    out-edge ranges outside h12, that is iff its range mask succ[v] leaves
+    h12, whatever loops or parallel edges v has."""
     succ = g.succ
     v0 = 0
-    for v in bits((t1.W | t2.W) & ~h12):
+    for v in bits(ww & ~h12):
         if succ[v] & ~h12 == 0:
             v0 |= 1 << v
     return v0
+
+
+def join_hw(g: Digraph, H1: int, W1: int, H2: int, W2: int):
+    """(H, W) of the join: H1 u H2 u J and the leftover W's.
+
+    J holds the vertices of (W1 u W2) \\ (H1 u H2) from which some vertex
+    with no surviving out-edge is reachable along a path whose intermediate
+    sources stay inside W1 u W2; a path of length 0 qualifies, so all such
+    dead-end vertices belong to J themselves.  A vertex of that set joins
+    J once some out-edge ranges into J, that is once its range mask
+    succ[v] meets J.  J lies inside W1 u W2, so H u W = U1 u U2.
+    """
+    h12 = H1 | H2
+    rest = (W1 | W2) & ~h12
+    succ = g.succ
+    j = _v0(g, h12, rest)
+    # J grows only from dead ends; H1 u H2 is hereditary and misses them,
+    # so none of it can enter J
+    grew = j
+    while grew:
+        grew = 0
+        for v in bits(rest & ~j):
+            if succ[v] & j:
+                j |= 1 << v
+                grew = 1
+    return h12 | j, rest & ~j
+
+
+def meet_hw(g: Digraph, H1: int, W1: int, H2: int, W2: int):
+    """(H, W) of the meet: H1 n H2 and the crossed-over W's minus the
+    dead-end vertices, so H u W = (U1 n U2) \\ V0.  W1 n W2 misses
+    H1 u H2, and only the dead ends inside it are read."""
+    both = W1 & W2
+    W = (W1 & H2) | (W2 & H1) | (both & ~_v0(g, H1 | H2, both))
+    return H1 & H2, W
 
 
 def _result(g, t1, t2, H, W, combine) -> WangTriple:
@@ -192,39 +237,19 @@ def _result(g, t1, t2, H, W, combine) -> WangTriple:
 
 
 def join(t1: WangTriple, t2: WangTriple) -> WangTriple:
-    """Least upper bound: H1 u H2 u J, the leftover W's, and the gcd of the
-    cycle functions.
-
-    J holds the vertices of (W1 u W2) \\ (H1 u H2) from which some vertex
-    with no surviving out-edge is reachable along a path whose intermediate
-    sources stay inside W1 u W2; a path of length 0 qualifies, so all such
-    dead-end vertices belong to J themselves.  A vertex of that set joins
-    J once some out-edge ranges into J, that is once its range mask
-    succ[v] meets J.
-    """
+    """Least upper bound: (H, W) from join_hw, and the gcd of the cycle
+    functions."""
     g = _same_graph(t1, t2)
-    h12 = t1.H | t2.H
-    ww = t1.W | t2.W
-    succ = g.succ
-    j = _v0(g, t1, t2)
-    grew = True
-    while grew:
-        grew = False
-        # H1 u H2 is hereditary and misses v0, so none of it can enter J
-        for v in bits(ww & ~h12 & ~j):
-            if succ[v] & j:
-                j |= 1 << v
-                grew = True
-    H = h12 | j
-    return _result(g, t1, t2, H, ww & ~H, ext_gcd)
+    H, W = join_hw(g, t1.H, t1.W, t2.H, t2.W)
+    return _result(g, t1, t2, H, W, ext_gcd)
 
 
 def meet(t1: WangTriple, t2: WangTriple) -> WangTriple:
-    """Greatest lower bound: H1 n H2, the crossed-over W's minus the
-    dead-end vertices, and the lcm of the cycle functions."""
+    """Greatest lower bound: (H, W) from meet_hw, and the lcm of the cycle
+    functions."""
     g = _same_graph(t1, t2)
-    W = (t1.W & t2.H) | (t2.W & t1.H) | (t1.W & t2.W & ~_v0(g, t1, t2))
-    return _result(g, t1, t2, t1.H & t2.H, W, ext_lcm)
+    H, W = meet_hw(g, t1.H, t1.W, t2.H, t2.W)
+    return _result(g, t1, t2, H, W, ext_lcm)
 
 
 def meet_no_fork(t1: WangTriple, t2: WangTriple) -> WangTriple:

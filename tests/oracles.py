@@ -22,10 +22,12 @@ the stored cycle values replaced, and last the lattice's JSON and DOT
 rendered from its triples, which rendering from the (H, W) masks replaced.
 They are slow and only serve as ground truth.  The join and meet read off
 the order rows up and down, row_join and row_meet, live here too: the
-library has joins and meets on ConLattice only, from the triple calculus,
-so these serve the hand-made FiniteLattice fixtures and cross-check the
-calculus.  The library answers every join and meet afresh, so the oracles
-that repeat pairs share one memo per lattice.
+library has joins and meets on ConLattice only, from the calculus's
+(H, W) core, so these serve the hand-made FiniteLattice fixtures and
+cross-check the calculus.  So does the index of the triple that
+triples.join or triples.meet builds, the path ConLattice took before it
+ran the core on masks.  The library answers every join and meet
+afresh, so the oracles that repeat pairs share one memo per lattice.
 """
 
 from functools import cache, partial
@@ -37,6 +39,7 @@ from gislat.graphs import bits, mask_of
 from gislat.lattice import FiniteLattice
 from gislat.oracle import (generated_congruence, inverse, partition_join,
                            principal_congruences)
+from gislat import triples
 from gislat.triples import INF, divides, is_prime
 
 
@@ -87,6 +90,17 @@ def row_join(lat: FiniteLattice, i, j) -> int:
 def row_meet(lat: FiniteLattice, i, j) -> int:
     """The meet of i and j, the greatest element below both."""
     return _bound(lat.down[i] & lat.down[j], lat.down)
+
+
+def join_idx_by_triples(lat, i, j) -> int:
+    """Test oracle for ConLattice.join_idx: the index of the triple that
+    triples.join builds from the two elements' triples."""
+    return lat.index[triples.join(lat.elements[i], lat.elements[j])]
+
+
+def meet_idx_by_triples(lat, i, j) -> int:
+    """Test oracle for ConLattice.meet_idx, through triples.meet."""
+    return lat.index[triples.meet(lat.elements[i], lat.elements[j])]
 
 
 def memoised(lat: FiniteLattice):

@@ -177,6 +177,18 @@ def test_cmd_check_human_output(tmp_path, capsys):
     assert "lower-semimodular: no" in out
 
 
+def test_cmd_check_prints_the_cycle_values_of_cyclic_atoms(tmp_path,
+                                                           capsys):
+    """The one atom of a -> b with a loop on each is ({}, {b}, f) with f
+    infinite on both loops: b's loop is unstored, a's leaves H u W.  The
+    human output says so rather than printing f as 1."""
+    path = write(tmp_path, "loops.graph",
+                 "vertex a\nvertex b\nedge a a\nedge a b\nedge b b\n")
+    assert main(["check", path]) == 0
+    out = capsys.readouterr().out
+    assert "atoms (1): ({}, {b}, {forced: ∞ elsewhere})\n" in out
+
+
 def test_cmd_check_parse_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.graph", "vertex a\nedge a z\n")
     assert main(["check", path]) == 2

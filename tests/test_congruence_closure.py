@@ -301,19 +301,29 @@ def test_verify_isomorphism_reports_wrong_joins_and_meets(monkeypatch):
                                f"meet mismatch at {a!r}, {b!r}"]
 
 
+def inject_join_hw(monkeypatch, lat, i, j, wrong):
+    """Make the calculus's (H, W) join answer the masks wrong for the
+    elements i and j, in that order, and every other pair as before."""
+    pair = (*lat.masks[i], *lat.masks[j])
+    real = oracle._triples.join_hw
+    monkeypatch.setattr(
+        oracle._triples, "join_hw",
+        lambda graph, *hw: wrong if hw == pair else real(graph, *hw))
+
+
 def test_verify_isomorphism_reports_join_outside_the_lattice(
         monkeypatch, tmp_path, capsys):
-    """A calculus join that is no element of the lattice, here a triple of
-    another graph, is one join mismatch naming the pair, and `gislat
-    oracle` reports it as a FAIL with exit 1, not as an input error."""
+    """A calculus join whose (H, W) is no element of the lattice is one
+    join mismatch naming the pair, and `gislat oracle` reports it as a FAIL
+    with exit 1, not as an input error.  Here the wrong masks put the
+    true join's union all in W, so the lookup by union finds the true
+    join, which must still not count."""
     g = make_split_graph()
     lat = oracle.enumerate_lattice(g)
     a, b = lat.elements[1], lat.elements[2]
-    foreign = oracle.enumerate_lattice(path(2))
-    real = oracle._triples.join
-    monkeypatch.setattr(
-        oracle._triples, "join",
-        lambda s, t: foreign.elements[-1] if (s, t) == (a, b) else real(s, t))
+    H, W = lat.masks[lat.join_idx(1, 2)]
+    assert H  # so (0, H | W) is other masks with the same union
+    inject_join_hw(monkeypatch, lat, 1, 2, (0, H | W))
     report = verify_isomorphism(g)
     assert report.failures == [f"join mismatch at {a!r}, {b!r}"]
 
@@ -325,18 +335,35 @@ def test_verify_isomorphism_reports_join_outside_the_lattice(
     assert doc["failures"] == [f"join mismatch at {a!r}, {b!r}"]
 
 
+def test_verify_isomorphism_reports_join_with_no_such_union(monkeypatch):
+    """A calculus join whose union no element has, here {b} (b has two
+    out-edges, so it is neither in W nor hereditary), is one join
+    mismatch naming the pair."""
+    g = make_split_graph()
+    lat = oracle.enumerate_lattice(g)
+    b_only = g.vertex_set("b")
+    assert b_only not in lat.by_union
+    inject_join_hw(monkeypatch, lat, 1, 2, (0, b_only))
+    report = verify_isomorphism(g)
+    a, b = lat.elements[1], lat.elements[2]
+    assert report.failures == [f"join mismatch at {a!r}, {b!r}"]
+
+
 def test_seed_pair_order_is_the_refinement_order(monkeypatch):
     """The order verify_isomorphism reads off seed pairs is the refinement
-    order of the realized congruences: with the triple order replaced by
-    oracles.refines on those congruences, no ordered pair mismatches, on
-    the criterion-02 sweep and on the paths with 5 to 7 vertices."""
+    order of the realized congruences: with the calculus's (H, W) order
+    replaced by oracles.refines on those congruences, no ordered pair
+    mismatches, on the criterion-02 sweep and on the paths with 5 to 7
+    vertices."""
     for g in sweep_graphs() + [path(k) for k in (5, 6, 7)]:
         table = build_semigroup(g)
         lat = oracle.enumerate_lattice(g)
-        realized = {t: oracle.realize_triple(t, table) for t in lat.elements}
+        realized = {hw: oracle.realize_triple(t, table)
+                    for hw, t in zip(lat.masks, lat.elements)}
         monkeypatch.setattr(
-            oracle._triples, "leq",
-            lambda s, t: oracles.refines(realized[s], realized[t]))
+            oracle._triples, "leq_hw",
+            lambda H1, W1, H2, W2: oracles.refines(realized[H1, W1],
+                                                   realized[H2, W2]))
         report = verify_isomorphism(g, table=table)
         assert report.failures == [], g
 
@@ -361,12 +388,13 @@ def test_verify_isomorphism_reports_one_flipped_order_pair(monkeypatch,
     either way round, gives one order mismatch, at that pair."""
     g, lat, _ = split_lattice
     i, j = next((i, j) for i, j in all_pairs(lat.n) if lat.leq_idx(i, j))
-    a, b = lat.elements[i], lat.elements[j]
     if not upward:
-        a, b = b, a
-    real = oracle._triples.leq
-    monkeypatch.setattr(oracle._triples, "leq",
-                        lambda s, t: real(s, t) != ((s, t) == (a, b)))
+        i, j = j, i
+    a, b = lat.elements[i], lat.elements[j]
+    pair = (*lat.masks[i], *lat.masks[j])
+    real = oracle._triples.leq_hw
+    monkeypatch.setattr(oracle._triples, "leq_hw",
+                        lambda *hw: real(*hw) != (hw == pair))
     report = verify_isomorphism(g)
     assert report.failures == [f"order mismatch at {a!r} vs {b!r}: "
                                f"triple {not upward}, congruence {upward}"]

@@ -11,6 +11,7 @@ from gislat.lattice import (FiniteLattice, enumerate_lattice,
                             predicate_atomistic,
                             predicate_condition_iv,
                             predicate_lower_semimodular)
+from gislat import triples
 from gislat.triples import WangTriple, atoms
 from gislat.census import (acyclic_multigraphs, connected_simple_graphs,
                            simple_graphs)
@@ -78,7 +79,7 @@ def test_triple_joins_match_order_joins():
 
 
 def test_join_meet_stay_inside_lattice():
-    """Over all ordered pairs: join_idx and meet_idx raise on a triple
+    """Over all ordered pairs: join_idx and meet_idx raise on masks
     outside the lattice, and what they return bounds both arguments."""
     for g in connected_simple_graphs(4):
         lat = enumerate_lattice(g)
@@ -88,6 +89,38 @@ def test_join_meet_stay_inside_lattice():
                 assert 0 <= k < lat.n and 0 <= m < lat.n
                 assert lat.leq_idx(i, k) and lat.leq_idx(j, k)
                 assert lat.leq_idx(m, i) and lat.leq_idx(m, j)
+
+
+def test_join_and_meet_unions_follow_the_union_identities():
+    """On an acyclic graph the join's union is U1 ∪ U2, since J lies in
+    W1 ∪ W2, and the meet's is (U1 ∩ U2) minus the dead ends V0: on every
+    ordered pair of every lattice of acyclic_multigraphs(4, 5) and of the
+    connected census graphs up to 5 vertices."""
+    for g in acyclic_multigraphs(4, 5) + connected_simple_graphs(5):
+        lat = enumerate_lattice(g)
+        unions = [H | W for H, W in lat.masks]
+        for i, (H1, W1) in enumerate(lat.masks):
+            for j, (H2, W2) in enumerate(lat.masks):
+                v0 = triples._v0(g, H1 | H2, W1 | W2)
+                assert unions[lat.join_idx(i, j)] == unions[i] | unions[j]
+                assert unions[lat.meet_idx(i, j)] == \
+                    unions[i] & unions[j] & ~v0
+
+
+def test_mask_joins_and_meets_match_the_triple_calculus():
+    """join_idx and meet_idx, run on the (H, W) masks, give the index of
+    the triple that triples.join and triples.meet build from the elements'
+    triples, on all 19,485 ordered pairs of the lattices of
+    acyclic_multigraphs(4, 5)."""
+    pairs = 0
+    for g in acyclic_multigraphs(4, 5):
+        lat = enumerate_lattice(g)
+        for i in range(lat.n):
+            for j in range(lat.n):
+                assert lat.join_idx(i, j) == oracles.join_idx_by_triples(lat, i, j)
+                assert lat.meet_idx(i, j) == oracles.meet_idx_by_triples(lat, i, j)
+                pairs += 1
+    assert pairs == 19_485
 
 
 def test_handmade_lattices():

@@ -10,7 +10,7 @@ from gislat.triples import (INF, WangTriple, _cover_kind, atoms, covers,
 from gislat.census import acyclic_multigraphs
 
 import oracles
-from conftest import make_path3
+from conftest import make_path3, make_two_loop_scc
 
 
 def make_looptail():
@@ -350,3 +350,19 @@ def test_triple_equality_and_repr(split_graph):
     t2 = WangTriple(split_graph, split_graph.vertex_set("c"), split_graph.vertex_set("b"))
     assert t1 == t2 and hash(t1) == hash(t2)
     assert repr(t1) == "({c}, {b}, ∅)"
+
+
+def test_repr_of_cyclic_triples_lists_stored_and_forced_values():
+    """On a cyclic graph repr lists the stored cycle values, then marks the
+    forced ones: 1 on the cycles in H, when there are any, and ∞ on the
+    rest, an unstored cycle through W included."""
+    g = make_looptail()  # t -> v, and the loop v -> v, cycle (1,)
+    v = g.vertex_set("v")
+    assert repr(WangTriple(g, 0, v)) == "({}, {v}, {forced: ∞ elsewhere})"
+    assert repr(WangTriple(g, 0, v, {(1,): 3})) == \
+        "({}, {v}, {[1]:3; forced: ∞ elsewhere})"
+    assert repr(WangTriple(g, v, 0)) == \
+        "({v}, {}, {forced: 1 in H, ∞ elsewhere})"
+    two = make_two_loop_scc()
+    assert [repr(t) for t in atoms(two)] == \
+        ["({x,y}, {}, {forced: 1 in H, ∞ elsewhere})"]

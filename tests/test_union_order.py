@@ -1,6 +1,7 @@
 """Property tests of the theorem ConLattice is built on: in an acyclic graph
 H is the largest hereditary subset of U = H ∪ W, so the union determines
-the triple and the order is inclusion of unions."""
+the triple and the order is inclusion of unions; the join's union is
+U1 ∪ U2 and the meet's (U1 ∩ U2) minus the dead ends V0."""
 
 import pytest
 
@@ -43,3 +44,6 @@ def test_union_determines_triple_and_order(g):
             assert triples.leq(ta, tb) == (ua & ~ub == 0)
             joined = triples.join(ta, tb)
             assert joined.H | joined.W == ua | ub
+            met = triples.meet(ta, tb)
+            v0 = triples._v0(g, ta.H | tb.H, ta.W | tb.W)
+            assert met.H | met.W == ua & ub & ~v0
