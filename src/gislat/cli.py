@@ -159,6 +159,12 @@ def lattice_dot(lat: ConLattice) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _require_cap(option, value):
+    """A cap counts at least one thing; a lower one is an input error."""
+    if value < 1:
+        raise ValueError(f"{option} must be at least 1, not {value}")
+
+
 def _emit(doc, human_lines, as_json):
     if as_json:
         # no document holds a cycle, so the circular-reference check finds none
@@ -201,6 +207,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    _require_cap("--cap", args.cap)
     graph = parse_graph_file(args.path)
     if not graph.is_acyclic():
         print("error: graph has cycles, so its congruence lattice is "
@@ -229,6 +236,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_generators(args) -> int:
+    _require_cap("--cap", args.cap)
     graph = parse_graph_file(args.path)
     gens = _lattice.minimal_generating_set(graph)
     lat = enumerate_lattice(graph, cap=args.cap)
@@ -257,6 +265,7 @@ def cmd_generators(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _require_cap("--oracle-cap", args.oracle_cap)
     graph = parse_graph_file(args.path)
     table = _oracle.build_semigroup(graph, element_cap=args.oracle_cap)
     bad = _oracle.associativity_violations(table)
@@ -282,12 +291,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.max_vertices < 1:
+        raise ValueError("census needs at least one vertex")
+    _require_cap("--bound", args.bound)
     if args.max_vertices > args.bound:
         raise CapExceeded("census vertices (--bound)", args.max_vertices,
                           args.bound)
-    if args.max_vertices < 1:
-        print("error: census needs at least one vertex", file=sys.stderr)
-        return EXIT_INPUT
     groups = []
     for n in range(1, args.max_vertices + 1):
         entries = []

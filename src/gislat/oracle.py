@@ -19,10 +19,11 @@ from .lattice import enumerate_lattice
 DEFAULT_ELEMENT_CAP = 400
 # Bounds the isomorphism check, which runs the calculus's (H, W) join and
 # meet on all n(n + 1)/2 pairs of the n congruences.  On a shared 2-core
-# machine `gislat oracle` takes 8–17 s on the graphs with 2,048
+# machine `gislat oracle` takes 9–27 s on the graphs with 2,048
 # congruences tried under the default element cap (11 isolated vertices
-# 8.1 s, 5 disjoint edges and a vertex 9.3 s, the 9-vertex path with two
-# isolated vertices 17.3 s and the 10-vertex path with one 13.6 s).
+# 8.6–10.8 s, 5 disjoint edges and a vertex 9.7–13.7 s, the 9-vertex path
+# with two isolated vertices 17.2–19.7 s and the 10-vertex path with one
+# 16.0–26.6 s; 2 to 4 runs each).
 CONGRUENCE_CAP = 2048
 
 
@@ -226,30 +227,33 @@ def principal_congruences(table: MulTable):
     """The distinct principal congruences, each mapped to the first pair
     x < y that generates it.
 
-    Each Cg(x, y) is closed from an already-closed translate rather than
-    from the diagonal.  The pairs {x, y}, x != y, are the nodes of a graph
-    with an edge to each translate {g x, g y} and {x g, y g} by a generator
-    g that is not a diagonal pair.  An iterative depth-first search closes
-    each pair after its translates (in postorder), taking as seed theta the
-    congruence with the fewest blocks among the translates already closed.
-    Pairs still on the stack, which close cycles of the graph, are never
-    seeds; with no closed translate the seed is the diagonal.  This is
-    sound:
+    Each Cg(x, y) is read off or closed from an already-closed translate
+    rather than from the diagonal.  The pairs {x, y}, x != y, are the
+    nodes of a graph with an edge to each translate {g x, g y} and
+    {x g, y g} by a generator g that is not a diagonal pair.  An iterative
+    depth-first search reads a pair's translates in turn, straight from
+    the translation rows: an unvisited one is visited first, one still on
+    the stack, which closes a cycle of the graph, is passed over, and a
+    closed one with congruence theta ends the pair when theta relates x
+    and y.  Only when none does is the pair closed, in postorder, from the
+    closed translate with the fewest blocks, or from the diagonal when
+    there is none.  This is sound:
 
     1. A translate (s x t, s y t) lies in Cg(x, y), so Cg(s x t, s y t),
        and with it theta, lies below Cg(x, y).
-    2. theta is a congruence, so its pairs need no translations queued:
+    2. If theta relates x and y, then theta contains Cg(x, y) as well, so
+       the two are equal; the pair's other translates are not read.
+    3. theta is a congruence, so its pairs need no translations queued:
        the closure over generators started from theta's partition with
        the pair (x, y) ends at the least congruence above both, which is
        Cg(x, y) by 1.
-    3. If theta already relates x and y, then theta contains Cg(x, y) as
-       well, so the two are equal and no closure runs.
     4. The least congruence above theta relating x and y relates every
        x' in x's block of theta with every y' in y's, and the other way
        round, so it depends on those two blocks only; each closure is
        remembered under theta and the two blocks."""
     n = len(table)
     trans = table.trans
+    m = len(trans[0])
     # state[x * n + y], x < y: 0 before the visit, -1 on the stack, then the
     # index of Cg(x, y) in congs, whose entry 0 is the diagonal; roots[c]
     # maps each element to the least member of its block of congs[c]
@@ -258,23 +262,11 @@ def principal_congruences(table: MulTable):
     congs, blocks, roots = [diagonal], [n], [list(diagonal)]
     index = {}
     above = {}
-    stack = []
 
-    def visit(x, y):
-        state[x * n + y] = -1
-        stack.append([x, y, [a * n + b if a < b else b * n + a
-                             for a, b in zip(trans[x], trans[y]) if a != b], 0])
-
-    def close(x, y, succ):
-        """The index of Cg(x, y), closed from the best closed translate."""
-        best = 0
-        for s in succ:
-            c = state[s]
-            if c > 0 and blocks[c] < blocks[best]:
-                best = c
+    def close(x, y, best):
+        """The index of Cg(x, y), closed from congs[best], which does not
+        relate x and y."""
         root = roots[best]
-        if root[x] == root[y]:
-            return best
         key = (best, root[x], root[y])
         if key not in above:
             parent = root[:]
@@ -296,20 +288,39 @@ def principal_congruences(table: MulTable):
         for y0 in range(x0 + 1, n):
             if state[x0 * n + y0]:
                 continue
-            visit(x0, y0)
+            state[x0 * n + y0] = -1
+            # a frame is [x, y, the translate to read next, best so far]
+            stack = [[x0, y0, 0, 0]]
             while stack:
                 frame = stack[-1]
-                x, y, succ, pos = frame
-                while pos < len(succ):
-                    s = succ[pos]
-                    pos += 1
-                    if not state[s]:
-                        frame[3] = pos
-                        visit(*divmod(s, n))
+                x, y, pos, best = frame
+                tx, ty = trans[x], trans[y]
+                theta = 0
+                for pos in range(pos, m):
+                    a, b = tx[pos], ty[pos]
+                    if a == b:
+                        continue
+                    s = a * n + b if a < b else b * n + a
+                    c = state[s]
+                    if c > 0:
+                        root = roots[c]
+                        if root[x] == root[y]:
+                            theta = c
+                            break
+                        if blocks[c] < blocks[best]:
+                            best = c
+                    elif not c:
+                        # read this translate again once it is closed
+                        frame[2] = pos
+                        frame[3] = best
+                        state[s] = -1
+                        stack.append([a, b, 0, 0] if a < b else [b, a, 0, 0])
                         break
                 else:
+                    theta = close(x, y, best)
+                if theta:
                     stack.pop()
-                    state[x * n + y] = close(x, y, succ)
+                    state[x * n + y] = theta
     first = {}
     for x in range(n):
         for y in range(x + 1, n):

@@ -541,6 +541,28 @@ def test_cmd_census_bound(capsys):
     assert "bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["census", "0", "--bound", "-1"], "census needs at least one vertex"),
+    (["census", "-2", "--bound", "-5"], "census needs at least one vertex"),
+    (["census", "3", "--bound", "0"], "--bound must be at least 1, not 0"),
+    (["lattice", "-", "--cap", "0"], "--cap must be at least 1, not 0"),
+    (["generators", "-", "--cap", "-1"], "--cap must be at least 1, not -1"),
+    (["oracle", "-", "--oracle-cap", "-3"],
+     "--oracle-cap must be at least 1, not -3"),
+], ids=["census-vertices-first", "census-both-negative", "census-bound",
+        "lattice", "generators", "oracle"])
+def test_caps_below_one_are_input_errors(argv, message, monkeypatch, capsys):
+    """A cap that admits nothing is a bad option, not a cap reached: exit
+    2 before the graph is read, and the census's vertex count is checked
+    before its bound."""
+    import io
+    stdin = io.StringIO(SPLIT_TEXT)
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert stdin.tell() == 0
+
+
 K4_TEXT = "".join(f"vertex v{i}\n" for i in range(4)) + "".join(
     f"edge v{i} v{j}\n" for i in range(4) for j in range(4) if i != j)
 

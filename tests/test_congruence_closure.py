@@ -1,9 +1,10 @@
 """The oracle's congruence layer against its direct versions in
 tests/oracles.py: the closure over generators against the closure over all
-translations, the principal congruences closed from closed translates
-against one closure per pair, the enumeration by join-irreducible joins
-against the joins with every principal and the found x found join closure,
-and the helpers it rests on."""
+translations, the principal congruences read off or closed from closed
+translates against one closure per pair (the same pairs in the same
+order), the enumeration by join-irreducible joins against the joins with
+every principal and the found x found join closure, and the helpers it
+rests on."""
 
 import json
 import random
@@ -138,9 +139,30 @@ def tables(sweep):
 
 
 def test_principal_congruences_match_one_closure_per_pair(tables):
+    """The same congruences, each with the same first pair, in the same
+    order: a dict compared with == would ignore the order."""
     for table in tables:
-        assert principal_congruences(table) == \
-            oracles.principal_congruences_from_scratch(table)
+        assert list(principal_congruences(table).items()) == \
+            list(oracles.principal_congruences_from_scratch(table).items())
+
+
+@pytest.mark.parametrize("k", [3, 5, 8])
+def test_path_closes_each_principal_congruence_once(k, monkeypatch):
+    """On a path each closure finds a new principal congruence, since a
+    pair ends at the first closed translate whose congruence relates it;
+    the 9-vertex path takes 45 closures for its 45 principal
+    congruences."""
+    merge = oracle._merge
+    closures = []
+
+    def counting(parent, work, trans=None):
+        if trans is not None and len(work) == 1:
+            closures.append(work[0])
+        merge(parent, work, trans)
+
+    monkeypatch.setattr(oracle, "_merge", counting)
+    principals = principal_congruences(build_semigroup(path(k)))
+    assert len(closures) == len(principals) == k * (k + 1) // 2
 
 
 def test_enumerate_congruences_matches_joins_with_every_principal(tables):

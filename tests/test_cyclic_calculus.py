@@ -26,6 +26,23 @@ def multigraphs(draw, max_n=4, max_m=7):
 
 
 @st.composite
+def forked_cyclic_multigraphs(draw, max_n=4, max_m=7):
+    """The edges 0 -> 1 and 0 -> 2, which fork vertex 0, a loop at 1 or 2,
+    and each further drawn edge after which some vertex is still forked:
+    multigraphs() draws a cyclic graph with a forked vertex about once in
+    200."""
+    n = draw(st.integers(3, max_n))
+    names = [f"v{i}" for i in range(n)]
+    vertex = st.integers(0, n - 1)
+    loop = draw(st.sampled_from((1, 2)))
+    edges = [(0, 1), (0, 2), (loop, loop)]
+    for edge in draw(st.lists(st.tuples(vertex, vertex), max_size=max_m - 3)):
+        if Digraph(names, edges + [edge]).forked_vertices():
+            edges.append(edge)
+    return Digraph(names, edges)
+
+
+@st.composite
 def triples_on(draw, g):
     """H hereditary, W eligible for H, f drawn on the cycles through W."""
     H = draw(st.sampled_from(g.hereditary_sets()))
@@ -42,7 +59,7 @@ def triples_on(draw, g):
 
 @st.composite
 def graph_and_triples(draw):
-    g = draw(multigraphs())
+    g = draw(st.one_of(multigraphs(), forked_cyclic_multigraphs()))
     return g, draw(st.lists(triples_on(g), min_size=1, max_size=4))
 
 
