@@ -60,12 +60,13 @@ class Digraph:
     ranges that exactly one edge of v reaches, and reach[v] the mask of the
     vertices reachable from v, v included.  eligible(H) is the set a Wang
     triple's W may draw from: the vertices keeping exactly one out-edge once
-    H is removed.
+    H is removed.  The hereditary sets, the cycles (each with the mask of
+    its sources) and the forked vertices are cached when first asked for.
     """
 
     __slots__ = ("names", "n", "edges", "m", "full", "out_edges", "succ",
-                 "once", "reach", "_index", "_cycles", "_cycle_sources",
-                 "_hereditary", "_forked", "_hash")
+                 "once", "reach", "_index", "_cycles", "_hereditary",
+                 "_forked", "_hash")
 
     def __init__(self, names, edges):
         names = tuple(str(x) for x in names)
@@ -94,7 +95,6 @@ class Digraph:
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
         object.__setattr__(self, "reach", self._reachability())
         object.__setattr__(self, "_cycles", None)
-        object.__setattr__(self, "_cycle_sources", None)
         object.__setattr__(self, "_hereditary", None)
         object.__setattr__(self, "_forked", None)
         object.__setattr__(self, "_hash", hash((names, pairs)))
@@ -103,11 +103,10 @@ class Digraph:
         raise AttributeError("Digraph is immutable")
 
     def _set(self, name, value):
-        """Fill one of the lazy caches (_hereditary, _cycles with
-        _cycle_sources, _forked).  Each is a function of the graph alone,
-        so threads that race to fill one compute equal values and the last
-        store wins harmlessly; _cycle_sources is stored before _cycles, so a
-        reader that sees the cycles sees their sources too."""
+        """Fill one of the lazy caches (_hereditary, _cycles, _forked).
+        Each is a function of the graph alone, stored in one assignment, so
+        threads that race to fill one compute equal values and the last
+        store wins harmlessly."""
         object.__setattr__(self, name, value)
 
     def _reachability(self):
@@ -168,35 +167,25 @@ class Digraph:
         return closure
 
     def hereditary_sets(self, cap: int | None = None):
-        """All hereditary vertex sets, sorted by (size, bit pattern); raises
-        CapExceeded past cap sets, or past HEREDITARY_CAP when that is lower
-        or cap is None (the count can be exponential in the number of
-        vertices), whether or not the sets are cached.  Only a complete
-        list is cached."""
+        """All hereditary vertex sets, sorted by (size, bit pattern): {∅}
+        closed under union with each reach[v].  Raises CapExceeded on the
+        set that passes cap, or HEREDITARY_CAP when lower or cap is None, so
+        a trip holds cap + 1, and on a cached list longer than the cap; only
+        a complete list is cached."""
         cap = HEREDITARY_CAP if cap is None else min(cap, HEREDITARY_CAP)
         if self._hereditary is None:
-            sets = self.hereditary_interval(0, self.full, cap)
+            sets = {0}
+            # the vertices of one strongly connected component share a down-set
+            for down in set(self.reach):
+                for s in list(sets):
+                    sets.add(s | down)
+                    if len(sets) > cap:
+                        raise CapExceeded("hereditary sets", len(sets), cap)
             self._set("_hereditary",
                       tuple(sorted(sets, key=lambda h: (h.bit_count(), h))))
         elif len(self._hereditary) > cap:
             raise CapExceeded("hereditary sets", len(self._hereditary), cap)
         return list(self._hereditary)
-
-    def hereditary_interval(self, low: int, high: int, cap: int | None = None):
-        """The set of hereditary H with low ⊆ H ⊆ high, for hereditary low
-        and high: {low} closed under union with reach[v] for v in high \\ low,
-        each reach[v] lying inside high.  Raises CapExceeded on the set
-        that passes cap, HEREDITARY_CAP by default, so a trip holds cap + 1."""
-        if cap is None:
-            cap = HEREDITARY_CAP
-        sets = {low}
-        # the vertices of one strongly connected component share a down-set
-        for down in {self.reach[v] for v in bits(high & ~low)}:
-            for s in list(sets):
-                sets.add(s | down)
-                if len(sets) > cap:
-                    raise CapExceeded("hereditary sets", len(sets), cap)
-        return sets
 
     def is_downward_directed(self, H: int) -> bool:
         """Is H nonempty with a common lower bound in H for every pair?"""
@@ -265,27 +254,21 @@ class Digraph:
                               and reach[w] >> start & 1):
                             stack.append((w, path + (e,), visited | 1 << w))
             found.sort()
-            sources = {c: mask_of(edges[e][0] for e in c) for c in found}
-            self._set("_cycle_sources", sources)
-            self._set("_cycles", tuple(found))
+            self._set("_cycles",
+                      {c: mask_of(edges[e][0] for e in c) for c in found})
         return list(self._cycles)
-
-    def _cycle_tuple(self):
-        # the cached cycles, without the copy cycles() hands its callers
-        if self._cycles is None:
-            self.cycles()
-        return self._cycles
 
     def cycle_sources(self, cycle) -> int:
         """Bitmask of the sources of a canonical cycle."""
-        self._cycle_tuple()
-        return self._cycle_sources[tuple(cycle)]
+        if self._cycles is None:
+            self.cycles()
+        return self._cycles[tuple(cycle)]
 
     def cycles_in(self, H: int):
         """All canonical cycles whose edge sources all lie in H."""
-        cycles = self._cycle_tuple()
-        sources = self._cycle_sources
-        return [c for c in cycles if sources[c] & ~H == 0]
+        if self._cycles is None:
+            self.cycles()
+        return [c for c, sources in self._cycles.items() if sources & ~H == 0]
 
     def is_acyclic(self) -> bool:
         """Is there no cycle?  An edge s -> r closes one iff r reaches s

@@ -134,9 +134,9 @@ class ConLattice(FiniteLattice):
     are not cached; the result is looked up by its union and counts only
     if it has that element's masks, so a calculus that returns masks
     outside the lattice is caught, not read as the element with the same
-    union.  The triples in elements, and index from triple to position,
-    are built when first read, so a command that only renders the lattice
-    or joins and meets builds no triple.
+    union.  The triples in elements are built when first read, so a
+    command that only renders the lattice, joins and meets, or looks its
+    generators up with element_indices builds no triple.
     """
 
     def __init__(self, graph: Digraph, cap: int = DEFAULT_LATTICE_CAP):
@@ -185,10 +185,6 @@ class ConLattice(FiniteLattice):
     def elements(self):
         graph = self.graph
         return [WangTriple._proved(graph, H, W, {}) for H, W in self.masks]
-
-    @cached_property
-    def index(self):
-        return {t: i for i, t in enumerate(self.elements)}
 
     def _lookup(self, hw, what) -> int:
         """The index of the element with masks hw, found by its union; a
@@ -382,12 +378,15 @@ def minimal_generating_set(graph: Digraph):
 
 
 def element_indices(lat: ConLattice, elements):
-    """Sorted indices of the given elements, repeats kept; a ValueError
-    names the first element that is not in the lattice."""
-    try:
-        return sorted(lat.index[t] for t in elements)
-    except KeyError as exc:
-        raise ValueError(f"element {exc.args[0]!r} is not in the lattice") from None
+    """Sorted indices of the given elements, each found by its union H | W,
+    repeats kept; a ValueError names the first one not in the lattice."""
+    found = []
+    for t in elements:
+        i = lat.by_union.get(t.H | t.W)
+        if i is None or t.graph != lat.graph or lat.masks[i] != (t.H, t.W):
+            raise ValueError(f"element {t!r} is not in the lattice")
+        found.append(i)
+    return sorted(found)
 
 
 def generated_sublattice(lat: ConLattice, gens):

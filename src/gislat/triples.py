@@ -269,7 +269,22 @@ def _cover_kind(t1: WangTriple, t2: WangTriple):
     With H and W equal, both cycle functions are forced alike wherever
     neither is stored.  When W gains v, every cycle through v leaves
     H u W1, so f1 is infinity there; f1 = f2 then holds iff f2 stores
-    nothing there and both store the same values elsewhere."""
+    nothing there and both store the same values elsewhere.
+
+    When H grows, let D = H2 \\ H1.  A failed test below names a triple
+    strictly between: (H2, W1 \\ H2, f2 on the cycles through W1 \\ H2)
+    if W2 != W1 \\ H2; t1 with a missing vertex of D eligible for H1 added
+    to W1; t1 with f2's value on a cycle inside W1 where f1 and f2 differ.
+    With the tests passed, a triple (h, W, f) between them has H1 < h < H2,
+    as h = H1 forces it to be t1 and h = H2 to be t2; so h = H1 u S, S a
+    nonempty proper subset of D closed under reach.  W1 \\ h lies in W, so
+    its vertices keep an out-edge outside h: those outside H2 do, and a
+    W1-vertex v of D keeps its one range r(v) outside H1 (in D, as H2 is
+    hereditary) iff r(v) is not in S.  So S is also closed under "r(v) is
+    in S, so add v", and then (h, W1 \\ h, f1 on the cycles through
+    W1 \\ h) lies between.  Such an S holds the least closed set around
+    each of its vertices, so t2 covers t1 iff each vertex's is all of D.
+    """
     if t1.H == t2.H:
         if t1.W == t2.W:
             diffs = [c for c in t1._fmap.keys() | t2._fmap.keys()
@@ -283,19 +298,21 @@ def _cover_kind(t1: WangTriple, t2: WangTriple):
         if (t2.W & ~t1.W).bit_count() != 1:
             return None
         return "w" if t1.f == t2.f else None
-    # H1 strictly below H2
-    g = t1.graph
-    if t1.W & ~t2.H != t2.W:
+    g, D = t1.graph, t2.H & ~t1.H
+    if (t1.W & ~t2.H != t2.W or t1.W & D != D & g.eligible(t1.H)
+            or any(t1.value(c) != t2.value(c) for c in g.cycles_in(t1.W))):
         return None
-    if t1.W & t2.H != t2.H & ~t1.H & g.eligible(t1.H):
-        return None
-    if any(t1.value(c) != t2.value(c) for c in g.cycles_in(t1.W)):
-        return None
-    succ = g.succ
-    for h in g.hereditary_interval(t1.H, t2.H) - {t1.H, t2.H}:
-        # strictly intermediate hereditary set: some W1-vertex outside it
-        # must have all its out-edges ranging into it
-        if not any(succ[v] & ~h == 0 for v in bits(t1.W & ~h)):
+    # what holding x adds: its down-set in D, and each v with r(v) = x
+    step = {x: g.reach[x] & D for x in bits(D)}
+    for v in bits(t1.W & D):
+        step[(g.succ[v] & ~t1.H).bit_length() - 1] |= 1 << v
+    for u in bits(D):
+        closed = todo = 1 << u
+        while todo:
+            x = todo.bit_length() - 1
+            todo = (todo ^ 1 << x) | step[x] & ~closed
+            closed |= step[x]
+        if closed != D:
             return None
     return "h"
 

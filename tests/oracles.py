@@ -18,15 +18,19 @@ which the range masks Digraph.succ and Digraph.once replaced: the
 surviving out-degree out_degree_minus, the forked vertices
 forked_by_edges, and the calculus's dead-end and J steps.  Then come the
 triple order and cover shapes over every cycle of the graph, which reading
-the stored cycle values replaced, and last the lattice's JSON and DOT
-rendered from its triples, which rendering from the (H, W) masks replaced.
+the stored cycle values replaced; the H-growing cover shape there also
+walks every hereditary set between H1 and H2, the interval enumeration
+the library dropped for a closure on H2 \\ H1 and kept only here as the
+reference.  Last come the lattice's JSON and DOT rendered from its
+triples, which rendering from the (H, W) masks replaced.
 They are slow and only serve as ground truth.  The join and meet read off
 the order rows up and down, row_join and row_meet, live here too: the
 library has joins and meets on ConLattice only, from the calculus's
 (H, W) core, so these serve the hand-made FiniteLattice fixtures and
 cross-check the calculus.  So does the index of the triple that
-triples.join or triples.meet builds, the path ConLattice took before it
-ran the core on masks.  The library answers every join and meet
+triples.join or triples.meet builds, looked up in a dict from each element
+triple to its index, the path ConLattice took before it ran the core on
+masks.  The library answers every join and meet
 afresh, so the oracles that repeat pairs share one memo per lattice.
 """
 
@@ -92,15 +96,22 @@ def row_meet(lat: FiniteLattice, i, j) -> int:
     return _bound(lat.down[i] & lat.down[j], lat.down)
 
 
+def triple_index(lat):
+    """Each element triple of a ConLattice to its index, kept on the lattice."""
+    if "oracle_index" not in vars(lat):
+        lat.oracle_index = {t: i for i, t in enumerate(lat.elements)}
+    return lat.oracle_index
+
+
 def join_idx_by_triples(lat, i, j) -> int:
     """Test oracle for ConLattice.join_idx: the index of the triple that
     triples.join builds from the two elements' triples."""
-    return lat.index[triples.join(lat.elements[i], lat.elements[j])]
+    return triple_index(lat)[triples.join(lat.elements[i], lat.elements[j])]
 
 
 def meet_idx_by_triples(lat, i, j) -> int:
     """Test oracle for ConLattice.meet_idx, through triples.meet."""
-    return lat.index[triples.meet(lat.elements[i], lat.elements[j])]
+    return triple_index(lat)[triples.meet(lat.elements[i], lat.elements[j])]
 
 
 def memoised(lat: FiniteLattice):
@@ -525,7 +536,9 @@ def leq_by_scan(t1, t2) -> bool:
 
 def cover_kind_by_scan(t1, t2):
     """Test oracle for triples._cover_kind: every cycle value compared
-    through the cycle list."""
+    through the cycle list, and an H-growing cover tested on every
+    hereditary set strictly between H1 and H2, none of which may admit
+    the triple (h, W1 \\ h, f1)."""
     g = t1.graph
 
     def f_equal(cycles):
@@ -551,7 +564,10 @@ def cover_kind_by_scan(t1, t2):
         return None
     if not f_equal(g.cycles_in(t1.W)):
         return None
-    for h in g.hereditary_interval(t1.H, t2.H) - {t1.H, t2.H}:
+    for h in g.hereditary_sets():
+        if h == t1.H or h == t2.H or t1.H & ~h or h & ~t2.H:
+            continue
+        # some W1-vertex outside h must have all its out-edges ranging into h
         if not any(g.succ[v] & ~h == 0 for v in bits(t1.W & ~h)):
             return None
     return "h"

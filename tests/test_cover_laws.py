@@ -8,11 +8,12 @@ import pytest
 from gislat.census import acyclic_multigraphs, connected_simple_graphs
 from gislat.cli import lattice_dot, lattice_json
 from gislat.graphs import Digraph, bits
-from gislat.lattice import (FiniteLattice, enumerate_lattice,
-                            generated_sublattice, is_atomistic_lattice,
-                            is_distributive, is_lower_semimodular, is_modular,
+from gislat.lattice import (FiniteLattice, element_indices,
+                            enumerate_lattice, generated_sublattice,
+                            is_atomistic_lattice, is_distributive,
+                            is_lower_semimodular, is_modular,
                             is_upper_semimodular, minimal_generating_set)
-from gislat.triples import WangTriple
+from gislat.triples import WangTriple, _cover_kind
 
 import oracles
 from conftest import chain, m3, make_parallel_pair, make_split_graph, n5
@@ -92,6 +93,10 @@ def random_family_lattice(rnd, max_points=5):
 
 
 def test_up_rows_equal_all_pairs_order():
+    """The order and cover rows match the all-pairs order, and on the
+    lattices of acyclic_multigraphs(4, 5) and connected_simple_graphs(5)
+    the cover shape of every comparable pair matches the one that walks
+    the hereditary sets, and is found exactly on the covers."""
     graphs = connected_simple_graphs(5) + sweep_graphs() + random_dags(40, 11)
     for g in graphs:
         lat = enumerate_lattice(g)
@@ -103,6 +108,14 @@ def test_up_rows_equal_all_pairs_order():
                                       if up[j] >> i & 1), g
             assert lat.cover_dn[i] == sum(1 << j for j in range(lat.n)
                                           if lat.cover_up[j] >> i & 1), g
+    for g in acyclic_multigraphs(4, 5) + connected_simple_graphs(5):
+        lat = enumerate_lattice(g)
+        ts = lat.elements
+        for i, t1 in enumerate(ts):
+            for j in bits(lat.up[i] & ~(1 << i)):
+                kind = _cover_kind(t1, ts[j])
+                assert kind == oracles.cover_kind_by_scan(t1, ts[j]), (g, i, j)
+                assert (kind is not None) == bool(lat.cover_up[i] >> j & 1)
 
 
 def test_generic_covers_and_down_rows():
@@ -224,5 +237,5 @@ def test_generated_sublattice_matches_join_closure():
     for g, gens in cases:
         lat = enumerate_lattice(g)
         closure = generated_sublattice(lat, gens)
-        expected = oracles.join_closure(lat, [lat.index[t] for t in gens])
+        expected = oracles.join_closure(lat, element_indices(lat, gens))
         assert closure == [lat.elements[i] for i in expected], (g, gens)

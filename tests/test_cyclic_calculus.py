@@ -8,7 +8,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from gislat.graphs import Digraph
-from gislat.triples import INF, WangTriple, join, leq, meet, meet_no_fork
+from gislat.triples import (INF, WangTriple, _cover_kind, join, leq, meet,
+                            meet_no_fork)
 
 import oracles
 from test_triples import lattice_law_suite
@@ -78,13 +79,17 @@ def test_calculus_laws_on_cyclic_multigraphs(drawn):
 @given(graph_and_triples())
 def test_mask_steps_match_edge_scans(drawn):
     """join, meet and meet_no_fork take the H and W that scanning each
-    vertex's out-edges gives, and leq answers what testing every cycle
-    answers."""
+    vertex's out-edges gives, leq answers what testing every cycle
+    answers, and each comparable pair has the cover shape that scanning
+    every cycle and hereditary set gives."""
     g, ts = drawn
     fork_free = not g.forked_vertices()
     for t1 in ts:
         for t2 in ts:
-            assert leq(t1, t2) == oracles.leq_by_scan(t1, t2)
+            below = leq(t1, t2)
+            assert below == oracles.leq_by_scan(t1, t2)
+            if below:
+                assert _cover_kind(t1, t2) == oracles.cover_kind_by_scan(t1, t2)
             j, m = join(t1, t2), meet(t1, t2)
             assert (j.H, j.W) == oracles.join_hw_by_edges(t1, t2)
             assert (m.H, m.W) == oracles.meet_hw_by_edges(t1, t2)

@@ -154,18 +154,6 @@ def test_hereditary_cap_trips_on_the_set_past_it(cap):
     assert (info.value.size, info.value.cap) == (cap + 1, cap)
 
 
-def test_hereditary_interval_is_the_sets_between():
-    rnd = random.Random(5)
-    for _ in range(40):
-        g = random_graph(rnd)
-        hs = g.hereditary_sets()
-        for low in hs:
-            for high in hs:
-                if low & ~high == 0:
-                    assert g.hereditary_interval(low, high) == {
-                        h for h in hs if low & ~h == 0 and h & ~high == 0}
-
-
 def test_hereditary_sets_match_brute_force():
     rnd = random.Random(3)
     for _ in range(40):

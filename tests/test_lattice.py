@@ -3,10 +3,11 @@ import random
 import pytest
 
 from gislat.graphs import CapExceeded, Digraph, bits, build_graph
-from gislat.lattice import (FiniteLattice, enumerate_lattice,
-                            generated_sublattice, is_atomistic_lattice,
-                            is_distributive, is_lower_semimodular,
-                            is_modular, is_upper_semimodular,
+from gislat.lattice import (FiniteLattice, element_indices,
+                            enumerate_lattice, generated_sublattice,
+                            is_atomistic_lattice, is_distributive,
+                            is_lower_semimodular, is_modular,
+                            is_upper_semimodular,
                             join_irreducibles, minimal_generating_set,
                             predicate_atomistic,
                             predicate_condition_iv,
@@ -39,8 +40,8 @@ def test_enumerate_lattice_cap(split_graph):
 
 
 def test_elements_are_built_from_the_masks():
-    """elements[i] is the triple of masks[i], index is its inverse, and
-    neither is built before it is read."""
+    """elements[i] is the triple of masks[i], built only when read, and
+    element_indices finds each element at its index without building it."""
     rnd = random.Random(17)
     graphs = [build_graph("abcd", [("a", "b"), ("b", "c"), ("b", "d")])]
     graphs += [Digraph(range(n), [(i, j) for i in range(n)
@@ -49,11 +50,16 @@ def test_elements_are_built_from_the_masks():
                for n in (5, 6, 7)]
     for g in graphs:
         lat = enumerate_lattice(g)
-        assert "elements" not in vars(lat) and "index" not in vars(lat)
+        ts = [WangTriple(g, H, W) for H, W in reversed(lat.masks)]
+        assert element_indices(lat, ts) == list(range(lat.n))
+        assert "elements" not in vars(lat)
         assert [(t.H, t.W) for t in lat.elements] == lat.masks
         assert all(t.graph is g and t.f == () for t in lat.elements)
-        assert lat.index == {t: i for i, t in enumerate(lat.elements)}
-        assert len(lat.index) == lat.n
+        assert element_indices(lat, lat.elements) == list(range(lat.n))
+    # the bottom of another graph has the bottom's masks, but not its graph
+    stranger = WangTriple(graphs[1], 0, 0)
+    with pytest.raises(ValueError, match="is not in the lattice"):
+        element_indices(enumerate_lattice(graphs[0]), [stranger])
 
 
 def test_lattice_bottom_top(split_graph):
@@ -274,7 +280,7 @@ def test_join_irreducibles_are_the_minimal_generating_set():
     assert len(graphs) == 342
     for g in graphs + random_connected_dags(100, 53):
         lat = enumerate_lattice(g)
-        gens = sorted(lat.index[t] for t in minimal_generating_set(g))
+        gens = element_indices(lat, minimal_generating_set(g))
         assert join_irreducibles(lat) == gens, g
 
 

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from gislat import cli
+from gislat import cli, triples
 
-from conftest import make_split_graph
+from conftest import make_loop, make_split_graph
 
 
 @pytest.fixture
@@ -42,3 +42,22 @@ def test_traced_lattice_run_counts_and_spans(Tracer, tmp_path, capsys):
     spans = {span[2] for span in tracer.spans}
     assert {"lattice.enumerate_lattice", "lattice.ConLattice",
             "lattice.FiniteLattice"} <= spans
+
+
+def test_traced_calculus_counts_cycles(Tracer):
+    """The tracer reads the graph's cycle cache by name: on the loop, a join
+    and an H-growing cover list its one cycle once, and each of their two
+    cycles_in calls scans it."""
+    tracer = Tracer()
+    tracer.install()
+    try:
+        g = make_loop()
+        t1 = triples.WangTriple(g, 0, 1, {(0,): 1})
+        t2 = triples.WangTriple(g, 1, 0)
+        assert triples.join(t1, t2) == t2
+        assert triples.covers(t1, t2)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["triples.join"] == tracer.calls["triples.covers"] == 1
+    assert tracer.counts["graphs.cycles.cycles"] == 1
+    assert tracer.counts["graphs.cycles_in.scanned"] == 2

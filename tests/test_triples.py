@@ -159,13 +159,23 @@ def test_covers_prime_quotient(loop):
 
 
 def test_covers_reads_only_the_interval():
-    """An H-growing cover looks only at the hereditary sets between H1 and
-    H2: 21 isolated vertices give the graph 3 * 2**21 hereditary sets, past
-    HEREDITARY_CAP, while those between {} and {a, b} are {}, {b} and
-    {a, b}."""
+    """An H-growing cover looks only at the vertices of H2 \\ H1: 21
+    isolated vertices give the graph 3 * 2**21 hereditary sets, past
+    HEREDITARY_CAP, while H2 \\ H1 is {a, b}."""
     g = build_graph(["a", "b"] + [f"i{k}" for k in range(21)], [("a", "b")])
     assert covers(WangTriple(g, 0, g.vertex_set("a")),
                   WangTriple(g, g.vertex_set("ab"), 0))
+
+
+def test_wide_h_growing_pair_trips_no_cap():
+    """On 21 isolated vertices (2**21 hereditary sets, past HEREDITARY_CAP)
+    the bottom and the top differ in H by every vertex, and any one vertex
+    makes a hereditary set between them: no cover, and no cap."""
+    g = Digraph([f"i{k}" for k in range(21)], [])
+    bottom, top = WangTriple(g, 0, 0), WangTriple(g, g.full, 0)
+    assert not covers(bottom, top)
+    with pytest.raises(ValueError, match="not an H-growing cover pair"):
+        downward_directed_check(bottom, top)
 
 
 def test_covers_acyclic(split_graph):
