@@ -222,8 +222,9 @@ def cmd_lattice(args) -> int:
         _emit(lattice_json(lat, properties=args.properties), (), True)
         return EXIT_OK
     lines = [f"elements: {lat.n}",
-             f"covers: {sum(row.bit_count() for row in lat.cover_up)}",
-             f"bottom covers: {lat.cover_up[lat.bottom].bit_count()}"]
+             f"covers: {len(lat.cover_list)}",
+             f"bottom covers: "
+             f"{sum(i == lat.bottom for i, _ in lat.cover_list)}"]
     if args.properties:
         for key, val in lattice_properties(lat).items():
             if key != "elements":

@@ -8,104 +8,93 @@ finite graph.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
+from operator import lt
 
 from .graphs import CapExceeded, Digraph, bits
 from . import triples
 from .triples import WangTriple
 
-# Every element keeps an n-bit row of upper covers, and the rows of lower
-# covers and of the order once something reads them (no command reads the
-# order rows), so memory grows as n squared.  On a 2-core machine `gislat
-# lattice` takes 0.87–1.03 s at 163 MB peak RSS on the 39,936-element
-# lattice of a 16-vertex DAG, and `--json --properties` 2.5–3.8 s at
-# 327 MB; see CHANGES.md.
+# A lattice keeps its covers as a list of pairs.  The laws of
+# `--properties` read n-bit rows of upper and lower covers, built when first
+# read (the order rows too, which no command reads), so memory grows as n
+# squared only there.  On the 39,936-element lattice of a 16-vertex DAG, on
+# a shared 2-core machine, `gislat lattice` takes 0.37–0.44 s at 53 MB
+# peak RSS, `--json` 0.50–0.64 s at 76 MB and `--json --properties`
+# 2.0–2.3 s at 328 MB; see CHANGES.md.
 DEFAULT_LATTICE_CAP = 40_000
 
 
 class FiniteLattice:
     """A finite lattice given by its covers over elements 0..n-1.
 
-    cover_up[i] is the bitmask of the upper covers of i.  The elements must
-    be numbered along a linear extension, so every cover i -> j has i < j,
-    and exactly one element may lack a lower cover (the bottom, 0) and one
-    an upper cover (the top, n - 1).  The lower covers cover_dn, the list
-    of covers, and the reflexive order rows up and down are built from the
-    upper covers when first read.  Joins and meets are left to ConLattice,
-    which reads them off the calculus's (H, W) core.
+    covers lists every cover i -> j as the pair [i, j], in increasing
+    order of i and then j, so none twice; it is kept as cover_list, the
+    form the JSON document holds.  The elements must be numbered along a
+    linear extension, so every cover has i < j, and exactly one element
+    may lack a lower cover (the bottom, 0) and one an upper cover (the
+    top, n - 1).  The bitmask rows of upper and lower covers, cover_up
+    and cover_dn, and the reflexive order rows up and down are built
+    from the pairs when first read.  Joins and meets are left to
+    ConLattice, which reads them off the calculus's (H, W) core.
     """
 
-    def __init__(self, cover_up):
-        self.n = n = len(cover_up)
-        self.cover_up = cover_up = list(cover_up)
-        covered = 0
-        for i, row in enumerate(cover_up):
-            lowest = (row & -row).bit_length() - 1
-            highest = row.bit_length() - 1
-            if row and not i < lowest <= highest < n:
-                j = lowest if lowest <= i else highest
+    def __init__(self, n, covers):
+        self.n = n
+        self.cover_list = covers
+        has_lower = bytearray(n)
+        has_upper = bytearray(n)
+        for i, j in covers:
+            if not 0 <= i < j < n:
                 raise ValueError(f"cover {i} -> {j} does not follow a "
                                  f"linear extension of 0..{n - 1}")
-            covered |= row
+            has_upper[i] = has_lower[j] = 1
+        if not all(map(lt, covers, islice(covers, 1, None))):
+            raise ValueError("covers are listed out of order or twice")
         # along a linear extension 0 is minimal and n - 1 maximal, so they
         # are the bottom and top when no other element is
-        if covered != (1 << n) - 2 or cover_up.count(0) != 1:
+        if has_lower.count(0) != 1 or has_upper.count(0) != 1:
             raise ValueError("order has no unique bottom and top")
         self.bottom = 0
         self.top = n - 1
 
     @cached_property
+    def cover_up(self):
+        """cover_up[i] is the bitmask of the upper covers of i."""
+        cover_up = [0] * self.n
+        for i, j in self.cover_list:
+            cover_up[i] |= 1 << j
+        return cover_up
+
+    @cached_property
     def cover_dn(self):
         """cover_dn[j] is the bitmask of the lower covers of j."""
         cover_dn = [0] * self.n
-        for i, row in enumerate(self.cover_up):
-            low = 1 << i
-            # highest cover first: bit_length is cheaper on long rows than
-            # the negation bits() does for each lowest bit
-            while row:
-                j = row.bit_length() - 1
-                cover_dn[j] |= low
-                row ^= 1 << j
+        for i, j in self.cover_list:
+            cover_dn[j] |= 1 << i
         return cover_dn
 
     @cached_property
     def up(self):
-        """up[i] is i with every element above it; the covers point to
-        larger indices, so one pass from the top closes each row."""
-        up = [0] * self.n
-        for i in range(self.n - 1, -1, -1):
-            row = 1 << i
-            for j in bits(self.cover_up[i]):
-                row |= up[j]
-            up[i] = row
+        """up[i] is i with every element above it, closed in one pass from
+        the last cover: the covers of j > i are listed after those of i."""
+        up = [1 << i for i in range(self.n)]
+        for i, j in reversed(self.cover_list):
+            up[i] |= up[j]
         return up
 
     @cached_property
     def down(self):
-        """down[j] is j with every element below it, closed from the bottom."""
-        down = [0] * self.n
-        for j in range(self.n):
-            row = 1 << j
-            for i in bits(self.cover_dn[j]):
-                row |= down[i]
-            down[j] = row
+        """down[j] is j with every element below it, closed in one pass
+        from the first cover: a cover k -> i has k < i, so it is listed
+        before the covers of i."""
+        down = [1 << j for j in range(self.n)]
+        for i, j in self.cover_list:
+            down[j] |= down[i]
         return down
 
     def leq_idx(self, i, j) -> bool:
         return bool(self.up[i] >> j & 1)
-
-    @cached_property
-    def cover_list(self):
-        """Every cover i -> j as the list [i, j], the form the JSON document
-        holds, in order of i and then j."""
-        covers = []
-        for i, row in enumerate(self.cover_up):
-            # every cover of i lies above it, so the shifted row is shorter
-            row >>= i
-            while row:
-                low = row & -row
-                covers.append([i, i + low.bit_length() - 1])
-                row ^= low
-        return covers
 
 
 class ConLattice(FiniteLattice):
@@ -126,7 +115,8 @@ class ConLattice(FiniteLattice):
     outside the H* of U1 ∪ {v} it keeps at most one out-edge, and each
     vertex of W1 its one (or it would reach only U1 ∪ {v}): U1 ∪ {v} is a
     union.  So the upper covers are the unions that add one vertex, found
-    by lookup, and every chain from the bottom to t has |U| steps.
+    by lookup and kept as the pairs of cover_list, and every chain from
+    the bottom to t has |U| steps.
 
     The elements are stored as masks[i] = (H, W), and by_union maps each
     union H | W to its index.  Joins and meets run the calculus's own
@@ -136,7 +126,8 @@ class ConLattice(FiniteLattice):
     outside the lattice is caught, not read as the element with the same
     union.  The triples in elements are built when first read, so a
     command that only renders the lattice, joins and meets, or looks its
-    generators up with element_indices builds no triple.
+    generators up with element_indices builds no triple; one that only
+    renders it builds no cover row either.
     """
 
     def __init__(self, graph: Digraph, cap: int = DEFAULT_LATTICE_CAP):
@@ -170,16 +161,16 @@ class ConLattice(FiniteLattice):
         self.masks = [hw[u] for u in unions]
         self.by_union = by_union = {u: i for i, u in enumerate(unions)}
         vertex_bits = [1 << v for v in range(graph.n)]
-        cover_up = []
-        for u in unions:
-            covers = 0
+        # the unions one vertex larger than u share one level, numbered by
+        # value, and u | b grows with b: the pairs come out in order
+        covers = []
+        for i, u in enumerate(unions):
             for b in vertex_bits:
                 if not u & b:
                     j = by_union.get(u | b)
                     if j is not None:
-                        covers |= 1 << j
-            cover_up.append(covers)
-        super().__init__(cover_up)
+                        covers.append([i, j])
+        super().__init__(len(unions), covers)
 
     @cached_property
     def elements(self):

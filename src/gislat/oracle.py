@@ -445,12 +445,13 @@ def verify_isomorphism(graph: Digraph,
                        table: MulTable | None = None) -> IsoReport:
     """Check that triples map bijectively onto the semigroup's congruences,
     matching order, joins, and meets; failures carry concrete witnesses.
-    Pass the graph's semigroup as table to skip building it again; the
-    table carries its own element cap, and without one the semigroup is
-    built under DEFAULT_ELEMENT_CAP.  The congruences are enumerated
-    first, so their cap trips before any triple's seed pairs are closed.
-    The lattice is built under the same cap: on a passing run it has as
-    many elements as there are congruences.
+    Pass the graph's semigroup as table to skip building it again (a
+    table built for another graph raises ValueError); the table carries
+    its own element cap, and without one the semigroup is built under
+    DEFAULT_ELEMENT_CAP.  The congruences are enumerated first, so their
+    cap trips before any triple's seed pairs are closed.  The lattice is
+    built under the same cap: on a passing run it has as many elements as
+    there are congruences.
 
     Each triple t_a keeps its seed pairs G_a, the generating pairs that
     realize_triple closes, so its realized partition P_a is the least
@@ -470,6 +471,8 @@ def verify_isomorphism(graph: Digraph,
     the bijection checks fail, the report fails anyway."""
     if table is None:
         table = build_semigroup(graph)
+    elif table.graph != graph:
+        raise ValueError("table is the semigroup of another graph")
     congs = enumerate_congruences(table)
     lat = enumerate_lattice(graph, CONGRUENCE_CAP)
     seeds = [seed_pairs(t, table) for t in lat.elements]

@@ -79,7 +79,9 @@ class WangTriple:
         store = {}
         for c, val in dict(f).items():
             c = tuple(c)
-            if val != INF and not (isinstance(val, int) and val >= 1):
+            # a bool is an int, but no cycle value
+            if val != INF and (isinstance(val, bool)
+                               or not (isinstance(val, int) and val >= 1)):
                 raise ValueError("cycle values must be positive integers or INF")
             try:
                 src = graph.cycle_sources(c)

@@ -77,6 +77,12 @@ def transitive_reduction(up):
     return cover_up
 
 
+def cover_pairs(cover_up):
+    """The covers [i, j] of cover rows, such as transitive_reduction's, in
+    order of i and then j: the form FiniteLattice takes."""
+    return [[i, j] for i, row in enumerate(cover_up) for j in bits(row)]
+
+
 def _bound(common, rows) -> int:
     """The least element of common when rows are up rows, the greatest
     when they are down rows."""
@@ -580,16 +586,12 @@ def cover_kind_by_scan(t1, t2):
 # and list the covers bit by bit from the rows.
 
 
-def cover_pairs(lat):
-    return [(i, j) for i in range(lat.n) for j in bits(lat.cover_up[i])]
-
-
 def lattice_json_by_triples(lat, properties=False):
     """Test oracle for cli.lattice_json: each element through triple_json."""
     doc = {"format": JSON_FORMAT}
     doc.update(graph_json(lat.graph))
     doc["elements"] = [triple_json(t) for t in lat.elements]
-    doc["covers"] = [[i, j] for i, j in cover_pairs(lat)]
+    doc["covers"] = cover_pairs(lat.cover_up)
     doc["bottom"] = lat.bottom
     doc["top"] = lat.top
     if properties:
@@ -602,7 +604,7 @@ def lattice_dot_by_triples(lat):
     lines = ["digraph conlat {", "  rankdir=BT;", "  node [shape=box];"]
     for i, t in enumerate(lat.elements):
         lines.append(f'  n{i} [label="{dot_escape(repr(t))}"];')
-    for i, j in cover_pairs(lat):
+    for i, j in cover_pairs(lat.cover_up):
         lines.append(f"  n{i} -> n{j};")
     size = [(t.H | t.W).bit_count() for t in lat.elements]
     for _, rank in groupby(range(lat.n), size.__getitem__):

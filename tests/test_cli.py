@@ -368,29 +368,27 @@ def test_lattice_command_builds_no_triple(tmp_path, monkeypatch, capsys):
     assert built == ["_proved"] * 14
 
 
-def test_lattice_json_dot_lists_the_covers_once(tmp_path, monkeypatch, capsys):
-    """`lattice --json --dot` walks the cover rows once for both renderings."""
-    walks = []
-
-    class CountedRows(list):
-        def __iter__(self):
-            walks.append(1)
-            return super().__iter__()
-
+def test_lattice_builds_no_cover_rows(tmp_path, monkeypatch, capsys):
+    """Plain `lattice` and `lattice --json --dot` read the list of covers
+    and build neither n-bit row of covers."""
+    built = []
     build = cli.enumerate_lattice
 
-    def counted(graph, cap):
-        lat = build(graph, cap)
-        lat.cover_up = CountedRows(lat.cover_up)
-        return lat
+    def kept(graph, cap):
+        built.append(build(graph, cap))
+        return built[-1]
 
-    monkeypatch.setattr(cli, "enumerate_lattice", counted)
+    monkeypatch.setattr(cli, "enumerate_lattice", kept)
     path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
     dot = tmp_path / "split.dot"
+    assert main(["lattice", path]) == 0
+    assert "covers: 25\nbottom covers: 3\n" in capsys.readouterr().out
     assert main(["lattice", path, "--json", "--dot", str(dot)]) == 0
     covers = json.loads(capsys.readouterr().out)["covers"]
-    assert dot.read_text().count(" -> ") == len(covers)
-    assert len(walks) == 1
+    assert dot.read_text().count(" -> ") == len(covers) == 25
+    assert len(built) == 2
+    for lat in built:
+        assert not {"cover_up", "cover_dn"} & vars(lat).keys()
 
 
 def test_cmd_lattice_chord11_properties(tmp_path, capsys):
@@ -408,8 +406,8 @@ def test_cmd_lattice_chord11_properties(tmp_path, capsys):
     # the cubic modular and distributive oracles are out of reach at this
     # size; a distributive lattice is modular
     lat = enumerate_lattice(chord11)
-    order = FiniteLattice(oracles.transitive_reduction(
-        oracles.all_pairs_order(lat.elements)))
+    order = FiniteLattice(lat.n, oracles.cover_pairs(
+        oracles.transitive_reduction(oracles.all_pairs_order(lat.elements))))
     assert oracles.upper_semimodular(order)
     assert oracles.lower_semimodular(order)
     assert oracles.distributive_by_join_primes(order)

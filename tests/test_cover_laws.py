@@ -63,7 +63,8 @@ def product(lat1, lat2):
                 for b2 in bits(lat2.up[b]):
                     row |= 1 << (a2 * m + b2)
             up.append(row)
-    return FiniteLattice(oracles.transitive_reduction(up))
+    return FiniteLattice(len(up), oracles.cover_pairs(
+        oracles.transitive_reduction(up)))
 
 
 def random_family_order(rnd, max_points=5):
@@ -85,8 +86,9 @@ def random_family_order(rnd, max_points=5):
 
 
 def random_family_lattice(rnd, max_points=5):
-    return FiniteLattice(oracles.transitive_reduction(
-        random_family_order(rnd, max_points)))
+    up = random_family_order(rnd, max_points)
+    return FiniteLattice(len(up), oracles.cover_pairs(
+        oracles.transitive_reduction(up)))
 
 
 # -- construction --------------------------------------------------------------
@@ -102,7 +104,9 @@ def test_up_rows_equal_all_pairs_order():
         lat = enumerate_lattice(g)
         up = oracles.all_pairs_order(lat.elements)
         assert lat.up == up, g
-        assert lat.cover_up == oracles.transitive_reduction(up), g
+        reduction = oracles.transitive_reduction(up)
+        assert lat.cover_list == oracles.cover_pairs(reduction), g
+        assert lat.cover_up == reduction, g
         for i in range(lat.n):
             assert lat.down[i] == sum(1 << j for j in range(lat.n)
                                       if up[j] >> i & 1), g
@@ -122,9 +126,10 @@ def test_generic_covers_and_down_rows():
     rnd = random.Random(29)
     for _ in range(200):
         up = random_family_order(rnd)
-        lat = FiniteLattice(oracles.transitive_reduction(up))
+        reduction = oracles.transitive_reduction(up)
+        lat = FiniteLattice(len(up), oracles.cover_pairs(reduction))
         assert lat.up == up
-        assert lat.cover_up == oracles.transitive_reduction(up)
+        assert lat.cover_up == reduction
         for i in range(lat.n):
             assert lat.down[i] == sum(1 << j for j in range(lat.n)
                                       if up[j] >> i & 1)
@@ -133,25 +138,27 @@ def test_generic_covers_and_down_rows():
 
 
 def test_constructor_rejects_covers_against_the_numbering():
-    for cover_up in ([1 << 0],                 # 0 covers itself
-                     [1 << 1, 1 << 1],         # 1 covers itself
-                     [1 << 1, 1 << 0],         # 0 and 1 cover each other
-                     [1 << 2 | 1 << 1, 1 << 0, 0],  # 0 covers 1
-                     [1 << 2, 0, 1 << 1],      # the chain 0 < 2 < 1
-                     [1 << 2, 0]):             # a cover beyond the elements
+    for n, covers in ((1, [[0, 0]]),                # 0 covers itself
+                      (2, [[0, 1], [1, 1]]),        # 1 covers itself
+                      (2, [[0, 1], [1, 0]]),        # 0 and 1 cover each other
+                      (3, [[0, 1], [0, 2], [1, 0]]),  # 0 covers 1
+                      (3, [[0, 2], [2, 1]]),        # the chain 0 < 2 < 1
+                      (2, [[0, 2]]),                # a cover beyond the elements
+                      (2, [[0, 1], [0, 1]]),        # a cover listed twice
+                      (4, [[0, 2], [0, 1], [1, 3], [2, 3]])):  # out of order
         with pytest.raises(ValueError):
-            FiniteLattice(cover_up)
+            FiniteLattice(n, covers)
 
 
 def test_constructor_rejects_two_minimal_or_maximal_elements():
-    for cover_up in ([],
-                     [0, 0],                   # two minimal and two maximal
-                     [1 << 2, 1 << 2, 0],      # two minimal
-                     [1 << 1 | 1 << 2, 0, 0],  # two maximal
-                     [1 << 2, 1 << 3, 1 << 3, 0]):
+    for n, covers in ((0, []),
+                      (2, []),                      # two minimal and two maximal
+                      (3, [[0, 2], [1, 2]]),        # two minimal
+                      (3, [[0, 1], [0, 2]]),        # two maximal
+                      (4, [[0, 2], [1, 3], [2, 3]])):
         with pytest.raises(ValueError):
-            FiniteLattice(cover_up)
-    lat = FiniteLattice([1 << 1 | 1 << 2, 1 << 3, 1 << 3, 0])
+            FiniteLattice(n, covers)
+    lat = FiniteLattice(4, [[0, 1], [0, 2], [1, 3], [2, 3]])
     assert (lat.bottom, lat.top) == (0, 3)
 
 

@@ -164,6 +164,16 @@ def test_verify_isomorphism_builds_lattice_under_congruence_cap(
     assert caps == [14]
 
 
+def test_verify_isomorphism_rejects_another_graphs_table():
+    """A table built for a -> b -> c does not describe a -> b."""
+    edge = build_graph("ab", [("a", "b")])
+    table = build_semigroup(make_path3())
+    with pytest.raises(ValueError, match="another graph"):
+        verify_isomorphism(edge, table)
+    # an equal graph built separately is the same graph
+    assert verify_isomorphism(make_path3(), table).passed
+
+
 def test_verify_isomorphism_parallel_pair(parallel_pair):
     report = verify_isomorphism(parallel_pair)
     assert report.passed, report.failures

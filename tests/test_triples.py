@@ -69,6 +69,13 @@ def test_validate_rejects_bad_f(loop):
         WangTriple(loop, 0, 1, {(1, 2): 3})
 
 
+def test_validate_rejects_bool_values(loop):
+    """A bool is an int, but True is not the cycle value 1."""
+    for H, W, val in ((0, 1, True), (1, 0, True), (0, 1, False)):
+        with pytest.raises(ValueError, match="positive integers"):
+            WangTriple(loop, H, W, {(0,): val})
+
+
 def test_f_normalisation(loop):
     assert WangTriple(loop, 0, 1, {(0,): INF}).f == ()
     assert WangTriple(loop, 1, 0, {(0,): 1}).f == ()
