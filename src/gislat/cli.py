@@ -79,9 +79,10 @@ def parse_graph_text(text: str) -> Digraph:
 
 
 def parse_graph_file(path: str) -> Digraph:
+    # a byte-order mark is no part of the first directive
     if path == "-":
-        return parse_graph_text(sys.stdin.read())
-    with open(path, encoding="utf-8") as handle:
+        return parse_graph_text(sys.stdin.read().removeprefix("\ufeff"))
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_graph_text(handle.read())
 
 

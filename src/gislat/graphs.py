@@ -11,6 +11,8 @@ Graphs are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import operator
+
 
 class CapExceeded(RuntimeError):
     """An enumeration grew past its cap: what names the things counted,
@@ -70,14 +72,26 @@ class Digraph:
 
     def __init__(self, names, edges):
         names = tuple(str(x) for x in names)
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate vertex name")
+        index = {}
+        for name in names:
+            if name in index:
+                raise ValueError(f"duplicate vertex name {name!r}")
+            index[name] = len(index)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "n", len(names))
-        pairs = tuple((int(s), int(r)) for s, r in edges)
-        for s, r in pairs:
+        pairs = []
+        for edge in edges:
+            try:  # a bool is an int, but no vertex id
+                if bool in map(type, edge):
+                    raise TypeError
+                s, r = map(operator.index, edge)
+            except TypeError:
+                raise ValueError(
+                    f"edge endpoints are not vertex ids: {edge!r}") from None
             if not (0 <= s < self.n and 0 <= r < self.n):
                 raise ValueError(f"edge endpoint out of range: ({s}, {r})")
+            pairs.append((s, r))
+        pairs = tuple(pairs)
         object.__setattr__(self, "edges", pairs)
         object.__setattr__(self, "m", len(pairs))
         object.__setattr__(self, "full", (1 << self.n) - 1)
@@ -92,7 +106,7 @@ class Digraph:
         object.__setattr__(self, "succ", tuple(succ))
         object.__setattr__(self, "once", tuple(
             ranges & ~again for ranges, again in zip(succ, twice)))
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "reach", self._reachability())
         object.__setattr__(self, "_cycles", None)
         object.__setattr__(self, "_hereditary", None)
@@ -262,7 +276,11 @@ class Digraph:
         """Bitmask of the sources of a canonical cycle."""
         if self._cycles is None:
             self.cycles()
-        return self._cycles[tuple(cycle)]
+        try:
+            return self._cycles[tuple(cycle)]
+        except KeyError:
+            raise ValueError(
+                f"unknown or non-canonical cycle {tuple(cycle)!r}") from None
 
     def cycles_in(self, H: int):
         """All canonical cycles whose edge sources all lie in H."""
@@ -330,11 +348,7 @@ class Digraph:
 def build_graph(names, edges) -> Digraph:
     """Build a Digraph from vertex names and (source name, range name) pairs."""
     names = list(names)
-    index = {}
-    for name in names:
-        if name in index:
-            raise ValueError(f"duplicate vertex name {name!r}")
-        index[name] = len(index)
+    index = {name: i for i, name in enumerate(names)}
     pairs = []
     for s, r in edges:
         if s not in index:

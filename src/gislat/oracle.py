@@ -460,22 +460,23 @@ def verify_isomorphism(graph: Digraph,
     G_a, contains the least one.  So the row of the elements above a is
     the AND, over the pairs of G_a, of the row of the realized partitions
     relating each pair, built once per distinct seed pair; it is compared
-    bit by bit with the row that the calculus's (H, W) order
-    triples.leq_hw gives.  When the bijection checks pass, every realized
-    partition is a congruence, so this computes the refinement order of
-    the realized partitions exactly, and those partitions are all of
-    Con(S); then R is P v Q iff it is an upper bound of P and Q below
-    every common upper bound, and dually for the meet.  The joins and
-    meets come from the lattice, which runs the calculus's (H, W) core on
-    each pair; one that leaves the element list is a mismatch too.  When
-    the bijection checks fail, the report fails anyway."""
+    bit by bit with lat.up[a], the lattice's order row, closed from its
+    covers.  When the bijection checks pass, every realized partition is
+    a congruence, so the seed-pair rows are the refinement order of all
+    of Con(S) exactly.  The lattice rows are reflexive and transitive, so
+    r is the join of i and j iff up[r] == up[i] & up[j]: r lies in both
+    rows, with every common element in its row; the meet is dual, on the
+    rows of lat.down.  Once the order matches, these are the joins and
+    meets of Con(S).  The joins and meets come from the lattice, which
+    runs the calculus's (H, W) core on each pair; one that leaves the
+    element list is a mismatch too.  When the bijection checks fail, the
+    report fails anyway."""
     if table is None:
         table = build_semigroup(graph)
     elif table.graph != graph:
         raise ValueError("table is the semigroup of another graph")
     congs = enumerate_congruences(table)
     lat = enumerate_lattice(graph, CONGRUENCE_CAP)
-    seeds = [seed_pairs(t, table) for t in lat.elements]
     realized = [realize_triple(t, table) for t in lat.elements]
     failures = []
 
@@ -494,55 +495,35 @@ def verify_isomorphism(graph: Digraph,
     if extra:
         failures.append(f"{len(extra)} realized partitions are not congruences")
 
-    n = len(lat.masks)
-    # rel[pair] has bit b when realized[b] relates the pair, and up[a], the
-    # AND of rel over a's seed pairs, has bit b when realized[a] refines
-    # realized[b]; down transposes up
+    n = lat.n
+    # rel[pair] has bit b when realized[b] relates the pair, and the AND of
+    # rel over a's seed pairs has bit b when realized[a] refines realized[b]
     rel = {}
-    up = []
-    for pairs in seeds:
+    for a, t in enumerate(lat.elements):
         row = (1 << n) - 1
-        for pair in pairs:
+        for pair in seed_pairs(t, table):
             if pair not in rel:
                 x, y = pair
                 rel[pair] = mask_of(b for b, part in enumerate(realized)
                                     if part[x] == part[y])
             row &= rel[pair]
-        up.append(row)
-    down = [0] * n
-    for a, row in enumerate(up):
-        for b in bits(row):
-            down[b] |= 1 << a
-    # the triple order's rows, from the calculus's (H, W) order: an acyclic
-    # graph's triples store no cycle value
-    masks = lat.masks
-    for a, (H1, W1) in enumerate(masks):
-        order_t = mask_of(b for b, (H2, W2) in enumerate(masks)
-                          if _triples.leq_hw(H1, W1, H2, W2))
-        for b in bits(order_t ^ up[a]):
-            order_c = bool(up[a] >> b & 1)
+        for b in bits(row ^ lat.up[a]):
+            order_c = bool(row >> b & 1)
             failures.append(f"order mismatch at {lat.elements[a]!r} vs "
                             f"{lat.elements[b]!r}: triple {not order_c}, "
                             f"congruence {order_c}")
 
-    def is_bound(find, rows, i, j):
-        """Is find(i, j) common to rows[i] and rows[j], with every common
-        element in its row: the join for up rows, the meet for down rows?"""
-        try:
-            r = find(i, j)
-        except ValueError:  # the calculus left the element list
-            return False
-        common = rows[i] & rows[j]
-        return common >> r & 1 and common & ~rows[r] == 0
-
+    checks = (("join", lat.join_idx, lat.up), ("meet", lat.meet_idx, lat.down))
     for i in range(n):
         for j in range(i, n):
-            if not is_bound(lat.join_idx, up, i, j):
-                failures.append(
-                    f"join mismatch at {lat.elements[i]!r}, {lat.elements[j]!r}")
-            if not is_bound(lat.meet_idx, down, i, j):
-                failures.append(
-                    f"meet mismatch at {lat.elements[i]!r}, {lat.elements[j]!r}")
+            for what, find, rows in checks:
+                try:
+                    found = rows[find(i, j)] == rows[i] & rows[j]
+                except ValueError:  # the calculus left the element list
+                    found = False
+                if not found:
+                    failures.append(f"{what} mismatch at {lat.elements[i]!r}, "
+                                    f"{lat.elements[j]!r}")
 
     return IsoReport(passed=not failures,
                      semigroup_size=len(table),

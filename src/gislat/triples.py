@@ -83,10 +83,7 @@ class WangTriple:
             if val != INF and (isinstance(val, bool)
                                or not (isinstance(val, int) and val >= 1)):
                 raise ValueError("cycle values must be positive integers or INF")
-            try:
-                src = graph.cycle_sources(c)
-            except KeyError:
-                raise ValueError(f"unknown or non-canonical cycle {c!r}") from None
+            src = graph.cycle_sources(c)
             if src & ~H == 0:
                 if val != 1:
                     raise ValueError("cycles inside H must map to 1")
@@ -255,13 +252,18 @@ def meet(t1: WangTriple, t2: WangTriple) -> WangTriple:
 
 
 def meet_no_fork(t1: WangTriple, t2: WangTriple) -> WangTriple:
-    """Meet fast path for graphs without forked vertices: the dead-end set
-    never meets W1 n W2, so it is not computed at all."""
-    g = _same_graph(t1, t2)
-    if g.forked_vertices():
+    """The meet, on graphs without forked vertices only.
+
+    There meet_hw's dead ends V0 never meet W1 n W2, so its W is the
+    crossed-over W's and W1 n W2 whole.  Let v in W1 n W2 be a dead end:
+    no out-edge of v ranges outside H1 u H2.  v is in W1, so exactly one
+    edge of v ranges outside H1, to some r1 in H2 \\ H1, and every other
+    range of v lies in the hereditary H1, which misses r1, so none reaches
+    r1.  Likewise exactly one edge ranges outside H2, to some r2 in
+    H1 \\ H2, which no other range of v reaches.  So v is forked."""
+    if _same_graph(t1, t2).forked_vertices():
         raise ValueError("graph has forked vertices")
-    W = (t1.W & t2.H) | (t2.W & t1.H) | (t1.W & t2.W)
-    return _result(g, t1, t2, t1.H & t2.H, W, ext_lcm)
+    return meet(t1, t2)
 
 
 def _cover_kind(t1: WangTriple, t2: WangTriple):

@@ -121,6 +121,28 @@ def test_parse_error_column_after_keyword(capsys, monkeypatch):
     assert "line 2, column 6: unknown vertex 'e'" in capsys.readouterr().err
 
 
+def test_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch):
+    """A graph that starts with a UTF-8 byte-order mark, in a file or on
+    stdin, gives the output of the same graph without it."""
+    plain = tmp_path / "plain.graph"
+    plain.write_text(SPLIT_TEXT, encoding="utf-8")
+    marked = tmp_path / "marked.graph"
+    marked.write_bytes(b"\xef\xbb\xbf" + SPLIT_TEXT.encode())
+
+    def outputs(path):
+        got = []
+        for command in ("check", "lattice"):
+            got.append((main([command, path, "--json"]),
+                        *capsys.readouterr()))
+        return got
+
+    expected = outputs(str(plain))
+    assert [code for code, *_ in expected] == [0, 0]
+    assert outputs(str(marked)) == expected
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + SPLIT_TEXT))
+    assert (main(["check", "-", "--json"]), *capsys.readouterr()) == expected[0]
+
+
 def test_lattice_dot(tmp_path):
     """Each rank line lists, in index order, exactly the elements whose
     longest chain from the bottom has its length, ranks in length order."""

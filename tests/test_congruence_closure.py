@@ -371,23 +371,62 @@ def test_verify_isomorphism_reports_join_with_no_such_union(monkeypatch):
     assert report.failures == [f"join mismatch at {a!r}, {b!r}"]
 
 
+def serve(monkeypatch, lat):
+    """Make verify_isomorphism read the lattice lat, whatever was injected
+    into it."""
+    monkeypatch.setattr(oracle, "enumerate_lattice", lambda graph, cap: lat)
+
+
 def test_seed_pair_order_is_the_refinement_order(monkeypatch):
     """The order verify_isomorphism reads off seed pairs is the refinement
-    order of the realized congruences: with the calculus's (H, W) order
+    order of the realized congruences: with the lattice's up and down rows
     replaced by oracles.refines on those congruences, no ordered pair
     mismatches, on the criterion-02 sweep and on the paths with 5 to 7
     vertices."""
+    real = oracle.enumerate_lattice  # serve replaces it
     for g in sweep_graphs() + [path(k) for k in (5, 6, 7)]:
         table = build_semigroup(g)
-        lat = oracle.enumerate_lattice(g)
-        realized = {hw: oracle.realize_triple(t, table)
-                    for hw, t in zip(lat.masks, lat.elements)}
-        monkeypatch.setattr(
-            oracle._triples, "leq_hw",
-            lambda H1, W1, H2, W2: oracles.refines(realized[H1, W1],
-                                                   realized[H2, W2]))
+        lat = real(g)
+        realized = [oracle.realize_triple(t, table) for t in lat.elements]
+        lat.up = [sum(1 << b for b, q in enumerate(realized)
+                      if oracles.refines(p, q)) for p in realized]
+        lat.down = [sum(1 << a for a, p in enumerate(realized)
+                        if oracles.refines(p, q)) for q in realized]
+        serve(monkeypatch, lat)
         report = verify_isomorphism(g, table=table)
         assert report.failures == [], g
+
+
+def test_verify_isomorphism_reports_a_dropped_cover(monkeypatch):
+    """A lattice that lists every cover of the split graph's but the one
+    from ({b,c,d}, {}, ∅) to the top no longer orders that pair: one order
+    mismatch.  The join of ({b,c,d}, {}, ∅) with each element not below it
+    is then a join mismatch, as is each other pair whose join it is, both
+    of them still below the top, and its meet with the top is a meet
+    mismatch."""
+    g = make_split_graph()
+    lat = oracle.enumerate_lattice(g)
+    assert lat.cover_list[-1] == [12, 13]
+    lat.cover_list = lat.cover_list[:-1]
+    serve(monkeypatch, lat)
+    report = verify_isomorphism(g)
+    bcd, top = "({b,c,d}, {}, ∅)", "({a,b,c,d}, {}, ∅)"
+    joins = [("({}, {a}, ∅)", bcd),
+             ("({c}, {}, ∅)", "({d}, {b}, ∅)"),
+             ("({d}, {}, ∅)", "({c}, {b}, ∅)"),
+             ("({c}, {a}, ∅)", bcd),
+             ("({c}, {b}, ∅)", "({d}, {b}, ∅)"),
+             ("({c}, {b}, ∅)", "({c,d}, {}, ∅)"),
+             ("({d}, {a}, ∅)", bcd),
+             ("({d}, {b}, ∅)", "({c,d}, {}, ∅)"),
+             ("({c}, {a,b}, ∅)", bcd),
+             ("({d}, {a,b}, ∅)", bcd),
+             ("({c,d}, {a}, ∅)", bcd),
+             (bcd, top)]
+    assert report.failures == (
+        [f"order mismatch at {bcd} vs {top}: triple False, congruence True"]
+        + [f"join mismatch at {a}, {b}" for a, b in joins]
+        + [f"meet mismatch at {bcd}, {top}"])
 
 
 @pytest.fixture
@@ -406,20 +445,27 @@ def split_lattice():
 def test_verify_isomorphism_reports_one_flipped_order_pair(monkeypatch,
                                                            split_lattice,
                                                            upward):
-    """Flipping the triple order on one ordered pair of comparable elements,
-    either way round, gives one order mismatch, at that pair."""
+    """Flipping the bit of j in the lattice's up row of i, for the first
+    comparable pair i < j, the bottom and the atom ({}, {a}, ∅), or the
+    other way round, gives the order mismatch at that pair.  Upward, the
+    join of the two reads the flipped row and mismatches too.  Downward,
+    the flipped bit is the bottom's, which lies in no other up row, so
+    only the atom's row ANDed with the bottom's, all ones, could show it:
+    no join mismatches."""
     g, lat, _ = split_lattice
     i, j = next((i, j) for i, j in all_pairs(lat.n) if lat.leq_idx(i, j))
-    if not upward:
-        i, j = j, i
+    assert (i, j) == (lat.bottom, 1)
     a, b = lat.elements[i], lat.elements[j]
-    pair = (*lat.masks[i], *lat.masks[j])
-    real = oracle._triples.leq_hw
-    monkeypatch.setattr(oracle._triples, "leq_hw",
-                        lambda *hw: real(*hw) != (hw == pair))
+    joins = [f"join mismatch at {a!r}, {b!r}"] if upward else []
+    if not upward:
+        i, j, a, b = j, i, b, a
+    lat.up = list(lat.up)
+    lat.up[i] ^= 1 << j
+    serve(monkeypatch, lat)
     report = verify_isomorphism(g)
     assert report.failures == [f"order mismatch at {a!r} vs {b!r}: "
-                               f"triple {not upward}, congruence {upward}"]
+                               f"triple {not upward}, congruence {upward}",
+                               *joins]
 
 
 def test_verify_isomorphism_reports_join_not_above_both(monkeypatch,
@@ -432,7 +478,7 @@ def test_verify_isomorphism_reports_join_not_above_both(monkeypatch,
         if k != lat.join_idx(i, j) and blocks[k] == blocks[lat.join_idx(i, j)]
         and not (lat.leq_idx(i, k) and lat.leq_idx(j, k)))
     inject(monkeypatch, lat, "join_idx", i, j, k)
-    monkeypatch.setattr(oracle, "enumerate_lattice", lambda graph, cap: lat)
+    serve(monkeypatch, lat)
     report = verify_isomorphism(g)
     a, b = lat.elements[i], lat.elements[j]
     assert report.failures == [f"join mismatch at {a!r}, {b!r}"]
@@ -448,7 +494,7 @@ def test_verify_isomorphism_reports_meet_not_below_both(monkeypatch,
         if k != lat.meet_idx(i, j) and blocks[k] == blocks[lat.meet_idx(i, j)]
         and not (lat.leq_idx(k, i) and lat.leq_idx(k, j)))
     inject(monkeypatch, lat, "meet_idx", i, j, k)
-    monkeypatch.setattr(oracle, "enumerate_lattice", lambda graph, cap: lat)
+    serve(monkeypatch, lat)
     report = verify_isomorphism(g)
     a, b = lat.elements[i], lat.elements[j]
     assert report.failures == [f"meet mismatch at {a!r}, {b!r}"]
@@ -456,16 +502,17 @@ def test_verify_isomorphism_reports_meet_not_below_both(monkeypatch,
 
 def test_verify_isomorphism_reports_join_and_meet_not_bounds(monkeypatch,
                                                              split_lattice):
-    """Answering one of two incomparable elements as both their join and
-    their meet gives a join below every common upper bound and a meet above
-    every common lower bound, so only the checks that the join lies above
-    both elements and the meet below both can catch them."""
+    """Answering one of two incomparable elements i, j as both their join
+    and their meet gives a join below every common upper bound and a meet
+    above every common lower bound.  Yet up[i] holds i, which up[j] lacks,
+    so it is not up[i] & up[j], and likewise down[i] is not
+    down[i] & down[j]: one join and one meet mismatch."""
     g, lat, _ = split_lattice
     i, j = next((i, j) for i, j in all_pairs(lat.n)
                 if not (lat.leq_idx(i, j) or lat.leq_idx(j, i)))
     inject(monkeypatch, lat, "join_idx", i, j, i)
     inject(monkeypatch, lat, "meet_idx", i, j, i)
-    monkeypatch.setattr(oracle, "enumerate_lattice", lambda graph, cap: lat)
+    serve(monkeypatch, lat)
     report = verify_isomorphism(g)
     a, b = lat.elements[i], lat.elements[j]
     assert report.failures == [f"join mismatch at {a!r}, {b!r}",

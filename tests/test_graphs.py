@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -53,10 +54,30 @@ def test_build_graph_degenerate():
 
 
 def test_build_graph_errors():
-    with pytest.raises(ValueError):
-        build_graph(["a", "a"], [])
+    # the first name seen a second time is named, not the first listed
+    for make in (Digraph, build_graph):
+        with pytest.raises(ValueError, match="duplicate vertex name 'b'"):
+            make(["a", "b", "c", "b", "a"], [])
     with pytest.raises(ValueError, match="unknown vertex name 'b'"):
         build_graph(["a"], [("a", "b")])
+
+
+def test_digraph_rejects_endpoints_that_are_not_vertex_ids():
+    """A float or a bool is not truncated to a vertex id, and a string is
+    not parsed as one; ints and what operator.index takes are ids."""
+    for edge in ((0, 1.9), (0.0, 1), (False, True), (0, True), ("0", 1)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"edge endpoints are not vertex ids: {edge!r}")):
+            Digraph(["a", "b"], [edge])
+    class One:
+        def __index__(self):
+            return 1
+
+    g = Digraph(["a", "b"], [(0, 1), (One(), 1)])
+    assert g.edges == ((0, 1), (1, 1))
+    assert all(type(x) is int for edge in g.edges for x in edge)
+    with pytest.raises(ValueError, match="out of range"):
+        Digraph(["a", "b"], [(0, 2)])
 
 
 def test_geq(split_graph, loop):

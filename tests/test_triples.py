@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -67,6 +68,20 @@ def test_validate_rejects_bad_f(loop):
         WangTriple(loop, 0, 1, {(0,): 0})
     with pytest.raises(ValueError):
         WangTriple(loop, 0, 1, {(1, 2): 3})
+
+
+def test_unknown_cycles_are_value_errors(split_graph, loop):
+    """A cycle the graph does not have, or one not in canonical rotation,
+    is a ValueError naming it, from the constructor and from value."""
+    edge = WangTriple(build_graph("ab", [("a", "b")]), 0, 0)
+    looped = WangTriple(loop, 0, 1, {(0,): 2})
+    for t, cycle in ((edge, (0,)), (looped, (1,)), (looped, (0, 0))):
+        message = re.escape(f"unknown or non-canonical cycle {cycle!r}")
+        with pytest.raises(ValueError, match=message):
+            t.value(cycle)
+        with pytest.raises(ValueError, match=message):
+            WangTriple(t.graph, t.H, t.W, {cycle: 2})
+    assert looped.value([0]) == 2
 
 
 def test_validate_rejects_bool_values(loop):
@@ -145,9 +160,13 @@ def test_meet_no_fork_path():
 
 
 def test_meet_no_fork_rejects_forked(split_graph):
-    t = WangTriple(split_graph, 0, 0)
-    with pytest.raises(ValueError):
-        meet_no_fork(t, t)
+    """b is forked, so the guard refuses every pair of the split graph's
+    triples, whatever their meet."""
+    bottom = WangTriple(split_graph, 0, 0)
+    atom = WangTriple(split_graph, 0, split_graph.vertex_set("a"))
+    for t1, t2 in ((bottom, bottom), (bottom, atom), (atom, atom)):
+        with pytest.raises(ValueError, match="graph has forked vertices"):
+            meet_no_fork(t1, t2)
 
 
 def test_meet_no_fork_matches_meet_on_loop_graph(loop):
