@@ -190,6 +190,9 @@ def cmd_check(args) -> int:
     doc["atomistic_predicate"] = _lattice.predicate_atomistic(graph)
     the_atoms = atoms(graph)
     doc["atoms"] = [triple_json(t) for t in the_atoms]
+    if args.json:
+        _emit(doc, (), True)
+        return EXIT_OK
     lines = [
         f"graph: {graph.n} vertices, {graph.m} edges",
         "forked vertices: " + (", ".join(forked) if forked else "(none)"),
@@ -203,7 +206,7 @@ def cmd_check(args) -> int:
         f"atomistic: {'yes' if doc['atomistic_predicate'] else 'no'}")
     lines.append(f"atoms ({len(the_atoms)}): "
                  + ", ".join(repr(t) for t in the_atoms))
-    _emit(doc, lines, args.json)
+    _emit(doc, lines, False)
     return EXIT_OK
 
 
@@ -258,12 +261,16 @@ def cmd_generators(args) -> int:
     doc["lattice_elements"] = lat.n
     doc["closure_elements"] = closure
     doc["closure_check"] = "PASS" if ok else "FAIL"
+    code = EXIT_OK if ok else EXIT_FAIL
+    if args.json:
+        _emit(doc, (), True)
+        return code
     lines = [f"generators ({len(gens)}):"]
     lines += [f"  {t!r}" for t in gens]
     lines.append(f"closure check: {doc['closure_check']} "
                  f"({closure} of {lat.n} elements)")
-    _emit(doc, lines, args.json)
-    return EXIT_OK if ok else EXIT_FAIL
+    _emit(doc, lines, False)
+    return code
 
 
 def cmd_oracle(args) -> int:

@@ -11,6 +11,7 @@ appearance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graphs import CapExceeded, Digraph, bits, mask_of
 from . import triples as _triples
@@ -19,11 +20,11 @@ from .lattice import enumerate_lattice
 DEFAULT_ELEMENT_CAP = 400
 # Bounds the isomorphism check, which runs the calculus's (H, W) join and
 # meet on all n(n + 1)/2 pairs of the n congruences.  On a shared 2-core
-# machine `gislat oracle` takes 9–27 s on the graphs with 2,048
+# machine `gislat oracle` takes 5–10 s on the graphs with 2,048
 # congruences tried under the default element cap (11 isolated vertices
-# 8.6–10.8 s, 5 disjoint edges and a vertex 9.7–13.7 s, the 9-vertex path
-# with two isolated vertices 17.2–19.7 s and the 10-vertex path with one
-# 16.0–26.6 s; 2 to 4 runs each).
+# 4.7–5.2 s, 5 disjoint edges and a vertex 5.8–6.1 s, the 9-vertex path
+# with two isolated vertices 9.0–9.1 s and the 10-vertex path with one
+# 9.6–10.2 s; 2 runs each).
 CONGRUENCE_CAP = 2048
 
 
@@ -98,6 +99,11 @@ class MulTable:
 
     def __len__(self):
         return len(self.elements)
+
+    @cached_property
+    def closures(self):
+        """The closure store of the table's congruences (ClosureStore)."""
+        return ClosureStore(self)
 
 
 def build_semigroup(graph: Digraph, element_cap: int = DEFAULT_ELEMENT_CAP) -> MulTable:
@@ -217,10 +223,86 @@ def generated_congruence(table: MulTable, pairs):
     e1...ek fl*...f1* of generators, so a translation by it is a
     composite of generator translations, and translation by the zero is
     constant.  A relation closed under generator translations is
-    therefore closed under all translations."""
+    therefore closed under all translations.
+
+    It starts from the diagonal and reads no closure store, so it is the
+    from-diagonal reference that realize_triple, which folds the store's
+    steps over the same pairs, must match."""
     parent = list(range(len(table)))
     _merge(parent, list(pairs), table.trans)
     return _canon(parent)
+
+
+class ClosureStore:
+    """Every congruence closed so far on one semigroup, with the memo of
+    its one closure step; MulTable.closures builds it on first use, and
+    principal_congruences, join_irreducible_congruences,
+    enumerate_congruences and realize_triple all close through it.
+
+    congs[c] is a congruence as canonical labels, congs[0] the diagonal,
+    and index maps the labels back to c; blocks[c] counts its blocks and
+    roots[c] maps each element to the least member of its block, a parent
+    list in which every class hangs under its root.  step(c, x, y) is the
+    least congruence above congs[c] that relates x and y:
+
+    1. congs[c] is a congruence, so its pairs need no translations queued:
+       the closure over generators started from its roots with the pair
+       (x, y) ends at the least congruence above both.
+    2. That congruence relates every x' in x's block of congs[c] with
+       every y' in y's, and the other way round, so it depends on c and
+       those two blocks only; each step is remembered in above under c
+       and the roots of the two blocks, the lesser first.
+    3. When congs[c] already relates x and y it is the answer itself.
+    4. From the diagonal the step is Cg(x, y).  Once
+       principal_congruences has run, principal[x * n + y] holds the
+       index of Cg(x, y) for every x < y, and the step reads it there.
+
+    What the store holds changes no answer, only how much is closed: by
+    1, 2 and 4 every step returns the same least congruence whether it is
+    closed or read."""
+
+    def __init__(self, table: MulTable):
+        self.trans = table.trans
+        self.n = n = len(table)
+        diagonal = tuple(range(n))
+        self.congs, self.blocks, self.roots = [diagonal], [n], [list(diagonal)]
+        self.index = {diagonal: 0}
+        self.above = {}
+        self.principal = None
+
+    def step(self, c, x, y):
+        """The index of the least congruence above congs[c] relating x and y."""
+        root = self.roots[c]
+        a, b = root[x], root[y]
+        if a == b:
+            return c
+        if a > b:
+            a, b = b, a
+        if not c and self.principal is not None:
+            return self.principal[a * self.n + b]
+        key = (c, a, b)
+        got = self.above.get(key)
+        if got is None:
+            parent = root[:]
+            _merge(parent, [(x, y)], self.trans)
+            got = self.above[key] = self._add(parent)
+        return got
+
+    def _add(self, parent):
+        """The index of the congruence of a parent list, registered when it
+        is new, with the parent list made its roots: every parent has a
+        lower index than its child, so it points at its root by the time
+        the child reads it."""
+        labels = _canon(parent)
+        got = self.index.get(labels)
+        if got is None:
+            for i, p in enumerate(parent):
+                parent[i] = parent[p]
+            got = self.index[labels] = len(self.congs)
+            self.congs.append(labels)
+            self.blocks.append(max(labels) + 1)
+            self.roots.append(parent)
+        return got
 
 
 def principal_congruences(table: MulTable):
@@ -235,55 +317,52 @@ def principal_congruences(table: MulTable):
     the translation rows: an unvisited one is visited first, one still on
     the stack, which closes a cycle of the graph, is passed over, and a
     closed one with congruence theta ends the pair when theta relates x
-    and y.  Only when none does is the pair closed, in postorder, from the
-    closed translate with the fewest blocks, or from the diagonal when
-    there is none.  This is sound:
+    and y.  Only when none does is the pair closed, in postorder, by one
+    step of the table's closure store from the closed translate with the
+    fewest blocks, or from the diagonal when there is none.  Each pair
+    that ends also ends its inverse pair {x*, y*} when that is not yet
+    visited.  This is sound:
 
     1. A translate (s x t, s y t) lies in Cg(x, y), so Cg(s x t, s y t),
        and with it theta, lies below Cg(x, y).
     2. If theta relates x and y, then theta contains Cg(x, y) as well, so
        the two are equal; the pair's other translates are not read.
-    3. theta is a congruence, so its pairs need no translations queued:
-       the closure over generators started from theta's partition with
-       the pair (x, y) ends at the least congruence above both, which is
-       Cg(x, y) by 1.
-    4. The least congruence above theta relating x and y relates every
-       x' in x's block of theta with every y' in y's, and the other way
-       round, so it depends on those two blocks only; each closure is
-       remembered under theta and the two blocks."""
+    3. The store's step from theta with the pair (x, y) is the least
+       congruence above both, which is Cg(x, y) by 1.
+    4. A congruence theta of an inverse semigroup relates x* and y*
+       whenever it relates x and y: S/theta is an inverse semigroup
+       (Howie, Fundamentals of Semigroup Theory, ch. 5), and x* theta and
+       y* theta are inverses of x theta = y theta, which has only one.
+       So Cg(x, y) contains (x*, y*), Cg(x*, y*) contains
+       (x**, y**) = (x, y), and the two are equal.
+
+    The search runs once per table, and its Cg(x, y) for every pair is
+    kept in the table's closure store; a second call reads it there."""
+    store = table.closures
+    if store.principal is None:
+        store.principal = _principal_pairs(table, store)
+    n = len(table)
+    state = store.principal
+    first = {}
+    for x in range(n):
+        for y in range(x + 1, n):
+            first.setdefault(state[x * n + y], (x, y))
+    congs = store.congs
+    return {congs[c]: pair for c, pair in first.items()}
+
+
+def _principal_pairs(table: MulTable, store: ClosureStore):
+    """The search of principal_congruences: a list whose entry x * n + y,
+    for x < y, is the index of Cg(x, y) in the store."""
     n = len(table)
     trans = table.trans
     m = len(trans[0])
+    idx = table.index
+    inv = [idx[inverse(x)] for x in table.elements]
+    roots, blocks = store.roots, store.blocks
     # state[x * n + y], x < y: 0 before the visit, -1 on the stack, then the
-    # index of Cg(x, y) in congs, whose entry 0 is the diagonal; roots[c]
-    # maps each element to the least member of its block of congs[c]
+    # index of Cg(x, y) in the store, whose entry 0 is the diagonal
     state = [0] * (n * n)
-    diagonal = tuple(range(n))
-    congs, blocks, roots = [diagonal], [n], [list(diagonal)]
-    index = {}
-    above = {}
-
-    def close(x, y, best):
-        """The index of Cg(x, y), closed from congs[best], which does not
-        relate x and y."""
-        root = roots[best]
-        key = (best, root[x], root[y])
-        if key not in above:
-            parent = root[:]
-            _merge(parent, [(x, y)], trans)
-            labels = _canon(parent)
-            if labels not in index:
-                index[labels] = len(congs)
-                congs.append(labels)
-                firsts = []
-                for i, label in enumerate(labels):
-                    if label == len(firsts):
-                        firsts.append(i)
-                blocks.append(len(firsts))
-                roots.append([firsts[label] for label in labels])
-            above[key] = index[labels]
-        return above[key]
-
     for x0 in range(n):
         for y0 in range(x0 + 1, n):
             if state[x0 * n + y0]:
@@ -317,15 +396,15 @@ def principal_congruences(table: MulTable):
                         stack.append([a, b, 0, 0] if a < b else [b, a, 0, 0])
                         break
                 else:
-                    theta = close(x, y, best)
+                    theta = store.step(best, x, y)
                 if theta:
                     stack.pop()
                     state[x * n + y] = theta
-    first = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            first.setdefault(state[x * n + y], (x, y))
-    return {congs[c]: pair for c, pair in first.items()}
+                    a, b = inv[x], inv[y]
+                    s = a * n + b if a < b else b * n + a
+                    if not state[s]:
+                        state[s] = theta
+    return state
 
 
 def partition_join(l1, l2):
@@ -334,7 +413,9 @@ def partition_join(l1, l2):
     (k, k+1, ...) that links the two blocks of every element.  Each class
     then hangs under its least block of l1, so the first k parents are a
     parent list of their own, over the blocks of l1 in order of first
-    appearance."""
+    appearance.  The oracle joins congruences in the closure store; this
+    join of any two partitions is the direct one that the tests'
+    reference enumerations use, and bench/tracer.py wraps it by name."""
     k = max(l1, default=-1) + 1
     parent = list(range(k + max(l2, default=-1) + 1))
     _merge(parent, [(a, k + b) for a, b in set(zip(l1, l2))])
@@ -342,12 +423,12 @@ def partition_join(l1, l2):
     return tuple(map(labels.__getitem__, l1))
 
 
-def join_irreducible_congruences(principals):
+def join_irreducible_congruences(table: MulTable, principals):
     """The join-irreducible congruences, from the principal congruences as
-    principal_congruences returns them (each mapped to a pair generating
-    it), in the same order and with the same pairs.  A congruence is
-    join-irreducible when it is not the diagonal and not the join of the
-    congruences strictly below it.
+    principal_congruences returns them for the table (each mapped to a
+    pair generating it), in the same order and with the same pairs.  A
+    congruence is join-irreducible when it is not the diagonal and not the
+    join of the congruences strictly below it.
 
     1. Every congruence theta is the join of the principal congruences
        Cg(a, b) over its pairs, so a join-irreducible one is one of them:
@@ -358,20 +439,24 @@ def join_irreducible_congruences(principals):
     3. A principal p = Cg(a, b) lies below q iff q relates a and b, that is
        iff q[a] == q[b].
     4. For q = Cg(x, y), j lies below q and is a congruence, so j = q iff j
-       relates x and y.  The join stops as soon as it does, and skips a
-       principal whose pair it already relates, since joining it would
-       give the same partition back.
+       relates x and y.  The join stops as soon as it does.
+    5. The join runs in the table's closure store: the join of j with
+       Cg(a, b) is the least congruence above j relating a and b, one step
+       from j, and it is j itself when j already relates a and b.
 
     The test reads no triple, so the oracle stays independent of the
     calculus it checks; this is Freese's method (R. Freese, Computing
     congruences efficiently, Algebra Universalis 59, 2008)."""
+    store = table.closures
+    roots = store.roots
     out = {}
     for q, (x, y) in principals.items():
-        below = tuple(range(len(q)))
+        below = 0
         for p, (a, b) in principals.items():
-            if q[a] == q[b] and below[a] != below[b] and p != q:
-                below = partition_join(below, p)
-                if below[x] == below[y]:
+            if q[a] == q[b] and p != q:
+                below = store.step(below, a, b)
+                root = roots[below]
+                if root[x] == root[y]:
                     break
         else:
             out[q] = (x, y)
@@ -391,31 +476,62 @@ def enumerate_congruences(table: MulTable):
     join-irreducible congruences below it, and each partial join
     J1 v ... v Ji is reached from J1 v ... v Ji-1, starting from the
     diagonal, by one join with Ji.  A join with J = Cg(x, y) is skipped
-    when x and y already share a block of p, since then J lies below p and
-    the join is p itself; so the partial join stays the same and is
-    already found.  Every join found is a congruence, as a join of
-    congruences."""
+    when x and y already share a block of theta, since then J lies below
+    theta and the join is theta itself; so the partial join stays the
+    same and is already found.
+
+    Each join theta v Ji is one step of the table's closure store, the
+    least congruence above theta relating the pair (x, y) of Ji: a
+    congruence above theta lies above Ji = Cg(x, y) iff it relates x and
+    y.  The steps are memoised by bit masks.  Let D(theta) be the set of
+    i with Ji below theta, that is with theta relating Ji's pair.  theta
+    is the join of the Ji over D(theta), so theta v Ji is the join of the
+    Jk over D(theta) + {i}, which depends on that set only.  So each join
+    is remembered under the mask D(theta) + {i}, and every congruence
+    found under its own D-mask, and a mask met again is read, not closed.
+    The cap counts distinct congruences, not masks."""
     cap = CONGRUENCE_CAP
     principals = principal_congruences(table)
     if len(principals) + 1 > cap:
         raise CapExceeded("congruences", len(principals) + 1, cap)
-    irreducibles = join_irreducible_congruences(principals)
-    found = {tuple(range(len(table)))}
-    found.update(irreducibles)
+    irreducibles = join_irreducible_congruences(table, principals)
+    store = table.closures
+    roots = store.roots
+    pairs = list(irreducibles.values())
+    by_mask = {}  # a set of join-irreducibles, as bits, -> their join
+
+    def mask(c):
+        """D(congs[c]), with congs[c] remembered under it."""
+        root = roots[c]
+        d = 0
+        for i, (x, y) in enumerate(pairs):
+            if root[x] == root[y]:
+                d |= 1 << i
+        by_mask[d] = c
+        return d
+
+    found = {0: mask(0)}
+    for q in irreducibles:
+        c = store.index[q]
+        found[c] = mask(c)
     frontier = list(found)
     while frontier:
         # every congruence found, the seeds too, waits here to be counted
         if len(found) > cap:
             raise CapExceeded("congruences", len(found), cap)
-        p = frontier.pop()
-        for q, (x, y) in irreducibles.items():
-            if p[x] == p[y]:
+        c = frontier.pop()
+        d = found[c]
+        for i, (x, y) in enumerate(pairs):
+            key = d | 1 << i
+            if key == d:
                 continue
-            j = partition_join(p, q)
+            j = by_mask.get(key)
+            if j is None:
+                j = by_mask[key] = store.step(c, x, y)
             if j not in found:
-                found.add(j)
+                found[j] = mask(j)
                 frontier.append(j)
-    return sorted(found)
+    return sorted(map(store.congs.__getitem__, found))
 
 
 def seed_pairs(t, table: MulTable):
@@ -425,8 +541,17 @@ def seed_pairs(t, table: MulTable):
 
 
 def realize_triple(t, table: MulTable):
-    """The congruence generated by the triple's generating pairs."""
-    return generated_congruence(table, seed_pairs(t, table))
+    """The congruence generated by the triple's generating pairs, folding
+    the table's closure-store step over them from the diagonal: after the
+    first k pairs the fold holds the least congruence containing them,
+    since the least congruence above Cg(p1, ..., pk) relating p(k+1) is
+    Cg(p1, ..., p(k+1)).  generated_congruence closes the same pairs from
+    the diagonal in one worklist, the reference this must match."""
+    store = table.closures
+    c = 0
+    for x, y in seed_pairs(t, table):
+        c = store.step(c, x, y)
+    return store.congs[c]
 
 
 # -- the order-isomorphism check ------------------------------------------------

@@ -488,6 +488,26 @@ def test_cmd_generators_fails_a_generating_set_that_is_not_minimal(
     assert doc["closure_elements"] == doc["lattice_elements"] == 14
 
 
+@pytest.mark.parametrize("command, code", [("check", 0), ("generators", 0)])
+def test_json_builds_no_text_lines(command, code, tmp_path, capsys,
+                                   monkeypatch):
+    """Under --json, check and generators build none of their text lines,
+    whose triple reprs each scan every edge; the text output still shows
+    the triples."""
+    path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
+    real = WangTriple.__repr__
+
+    def no_repr(t):
+        raise AssertionError("a text line was built under --json")
+
+    monkeypatch.setattr(WangTriple, "__repr__", no_repr)
+    assert main([command, path, "--json"]) == code
+    assert json.loads(capsys.readouterr().out)["format"] == 1
+    monkeypatch.setattr(WangTriple, "__repr__", real)
+    assert main([command, path]) == code
+    assert "({c}, {}, ∅)" in capsys.readouterr().out
+
+
 def test_cmd_generators_rejects_parallel(tmp_path, capsys):
     path = write(tmp_path, "par.graph", PARALLEL_TEXT)
     assert main(["generators", path]) == 2

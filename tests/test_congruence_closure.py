@@ -3,8 +3,9 @@ tests/oracles.py: the closure over generators against the closure over all
 translations, the principal congruences read off or closed from closed
 translates against one closure per pair (the same pairs in the same
 order), the enumeration by join-irreducible joins against the joins with
-every principal and the found x found join closure, and the helpers it
-rests on."""
+every principal and the found x found join closure, the closure store's
+answers against closing from the diagonal whatever the store holds, and
+the helpers it rests on."""
 
 import json
 import random
@@ -19,7 +20,8 @@ from gislat.lattice import join_irreducibles
 from gislat.oracle import (associativity_violations, build_semigroup,
                            enumerate_congruences, generated_congruence,
                            join_irreducible_congruences, partition_join,
-                           principal_congruences, verify_isomorphism)
+                           principal_congruences, seed_pairs,
+                           verify_isomorphism)
 
 import oracles
 from conftest import make_split_graph
@@ -89,6 +91,21 @@ def test_principal_congruences_closed_under_inversion(sweep):
             assert generated_congruence(table, [(inv[x], inv[y])]) == labels
 
 
+def test_store_step_from_the_diagonal_is_the_principal_congruence(sweep):
+    """Before and after principal_congruences records the congruence of
+    every pair in the closure store, its step from the diagonal with a
+    pair x < y is Cg(x, y), on the criterion-02 sweep."""
+    for table, closures in sweep:
+        fresh = build_semigroup(table.graph)
+        store = fresh.closures
+        for (x, y), labels in zip(all_pairs(len(fresh)), closures):
+            assert store.congs[store.step(0, x, y)] == labels
+        principal_congruences(fresh)
+        assert store.principal is not None
+        for (x, y), labels in zip(all_pairs(len(fresh)), closures):
+            assert store.congs[store.step(0, y, x)] == labels
+
+
 def test_principal_congruences_are_all_of_them(sweep):
     for table, closures in sweep:
         principals = principal_congruences(table)
@@ -146,12 +163,9 @@ def test_principal_congruences_match_one_closure_per_pair(tables):
             list(oracles.principal_congruences_from_scratch(table).items())
 
 
-@pytest.mark.parametrize("k", [3, 5, 8])
-def test_path_closes_each_principal_congruence_once(k, monkeypatch):
-    """On a path each closure finds a new principal congruence, since a
-    pair ends at the first closed translate whose congruence relates it;
-    the 9-vertex path takes 45 closures for its 45 principal
-    congruences."""
+def count_closures(monkeypatch):
+    """The list that each closure from a closed congruence, one pair
+    merged over the generators, appends its pair to from now on."""
     merge = oracle._merge
     closures = []
 
@@ -161,8 +175,68 @@ def test_path_closes_each_principal_congruence_once(k, monkeypatch):
         merge(parent, work, trans)
 
     monkeypatch.setattr(oracle, "_merge", counting)
+    return closures
+
+
+@pytest.mark.parametrize("k", [3, 5, 8])
+def test_path_closes_each_principal_congruence_once(k, monkeypatch):
+    """On a path each closure finds a new principal congruence, since a
+    pair ends at the first closed translate whose congruence relates it;
+    the 9-vertex path takes 45 closures for its 45 principal
+    congruences."""
+    closures = count_closures(monkeypatch)
     principals = principal_congruences(build_semigroup(path(k)))
     assert len(closures) == len(principals) == k * (k + 1) // 2
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_enumeration_closes_fewer_times_than_congruences(k, monkeypatch):
+    """Once the principal and join-irreducible congruences are known, a
+    second search for each closes nothing, and the join closure of
+    enumerate_congruences runs fewer closures than there are congruences,
+    since a join whose D-mask was met before is read, not closed: the
+    5- to 8-vertex paths take 23, 53, 115 and 241 closures for their 32,
+    64, 128 and 256 congruences."""
+    table = build_semigroup(path(k))
+    principals = principal_congruences(table)
+    irreducibles = join_irreducible_congruences(table, principals)
+    closures = count_closures(monkeypatch)
+    assert list(principal_congruences(table).items()) == \
+        list(principals.items())
+    assert join_irreducible_congruences(table, principals) == irreducibles
+    assert closures == []
+    congs = enumerate_congruences(table)
+    assert len(congs) == 2 ** k
+    assert len(closures) < len(congs)
+
+
+def test_principal_congruences_repeat_on_one_table(tables):
+    """Two calls on one table give the same dict in the same order, the
+    second, which reads the closure store, after enumerate_congruences and
+    realize_triple have filled it further."""
+    for table in tables:
+        fresh = build_semigroup(table.graph, len(table))
+        first = list(principal_congruences(fresh).items())
+        enumerate_congruences(fresh)
+        for t in oracle.enumerate_lattice(fresh.graph).elements:
+            oracle.realize_triple(t, fresh)
+        assert list(principal_congruences(fresh).items()) == first
+
+
+def test_realize_triple_does_not_depend_on_the_store():
+    """realize_triple gives generated_congruence of the triple's seed
+    pairs, the closure from the diagonal, whatever the table's closure
+    store already holds: on a fresh table for each triple, and on one
+    table whose store enumerate_congruences filled first.  On the
+    criterion-02 sweep, the split graph among them, and the paths with 5
+    to 7 vertices."""
+    for g in sweep_graphs() + [path(k) for k in (5, 6, 7)]:
+        filled = build_semigroup(g)
+        enumerate_congruences(filled)
+        for t in oracle.enumerate_lattice(g).elements:
+            expected = generated_congruence(filled, seed_pairs(t, filled))
+            assert oracle.realize_triple(t, build_semigroup(g)) == expected
+            assert oracle.realize_triple(t, filled) == expected
 
 
 def test_enumerate_congruences_matches_joins_with_every_principal(tables):
@@ -178,7 +252,7 @@ def test_join_irreducible_congruences_are_the_lattice_ones(sweep):
     for table, _ in sweep:
         g = table.graph
         principals = principal_congruences(table)
-        irreducibles = join_irreducible_congruences(principals)
+        irreducibles = join_irreducible_congruences(table, principals)
         assert irreducibles.items() <= principals.items()
         lat = oracle.enumerate_lattice(g)
         assert set(irreducibles) == {
@@ -193,7 +267,7 @@ def test_congruence_cap_counts_the_principals_first(monkeypatch):
     table = build_semigroup(path(5))
     count = len(principal_congruences(table)) + 1
 
-    def no_search(principals):
+    def no_search(table, principals):
         raise AssertionError("join-irreducibles sought past the cap")
 
     monkeypatch.setattr(oracle, "CONGRUENCE_CAP", count - 1)
@@ -206,7 +280,8 @@ def test_congruence_cap_counts_the_principals_first(monkeypatch):
 @pytest.mark.parametrize("k", range(1, 8))
 def test_path_has_one_join_irreducible_congruence_per_vertex(k):
     table = build_semigroup(path(k))
-    irreducibles = join_irreducible_congruences(principal_congruences(table))
+    irreducibles = join_irreducible_congruences(
+        table, principal_congruences(table))
     assert len(irreducibles) == k
 
 
