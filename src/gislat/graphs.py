@@ -63,12 +63,13 @@ class Digraph:
     vertices reachable from v, v included.  eligible(H) is the set a Wang
     triple's W may draw from: the vertices keeping exactly one out-edge once
     H is removed.  The hereditary sets, the cycles (each with the mask of
-    its sources) and the forked vertices are cached when first asked for.
+    its sources), the forked vertices and whether the graph is acyclic are
+    cached when first asked for.
     """
 
     __slots__ = ("names", "n", "edges", "m", "full", "out_edges", "succ",
                  "once", "reach", "_index", "_cycles", "_hereditary",
-                 "_forked", "_hash")
+                 "_forked", "_acyclic", "_hash")
 
     def __init__(self, names, edges):
         names = tuple(str(x) for x in names)
@@ -111,13 +112,15 @@ class Digraph:
         object.__setattr__(self, "_cycles", None)
         object.__setattr__(self, "_hereditary", None)
         object.__setattr__(self, "_forked", None)
+        object.__setattr__(self, "_acyclic", None)
         object.__setattr__(self, "_hash", hash((names, pairs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Digraph is immutable")
 
     def _set(self, name, value):
-        """Fill one of the lazy caches (_hereditary, _cycles, _forked).
+        """Fill one of the lazy caches (_hereditary, _cycles, _forked,
+        _acyclic).
         Each is a function of the graph alone, stored in one assignment, so
         threads that race to fill one compute equal values and the last
         store wins harmlessly."""
@@ -290,8 +293,12 @@ class Digraph:
 
     def is_acyclic(self) -> bool:
         """Is there no cycle?  An edge s -> r closes one iff r reaches s
-        (reach is reflexive, so a loop counts)."""
-        return not any(self.reach[r] >> s & 1 for s, r in self.edges)
+        (reach is reflexive, so a loop counts).  Scanned once, then kept."""
+        if self._acyclic is None:
+            reach = self.reach
+            self._set("_acyclic",
+                      not any(reach[r] >> s & 1 for s, r in self.edges))
+        return self._acyclic
 
     def has_parallel_edges(self) -> bool:
         return len(set(self.edges)) < self.m

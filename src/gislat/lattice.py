@@ -119,15 +119,17 @@ class ConLattice(FiniteLattice):
     the bottom to t has |U| steps.
 
     The elements are stored as masks[i] = (H, W), and by_union maps each
-    union H | W to its index.  Joins and meets run the calculus's own
-    (H, W) core, triples.join_hw and triples.meet_hw, on the masks, and
-    are not cached; the result is looked up by its union and counts only
-    if it has that element's masks, so a calculus that returns masks
-    outside the lattice is caught, not read as the element with the same
-    union.  The triples in elements are built when first read, so a
-    command that only renders the lattice, joins and meets, or looks its
-    generators up with element_indices builds no triple; one that only
-    renders it builds no cover row either.
+    union H | W to its index; leq_idx reads the order as inclusion of
+    unions.  Joins and meets run the calculus's own (H, W) core,
+    triples.join_hw and triples.meet_hw, on the masks, and are not
+    cached; the result is looked up by its union and counts only if it
+    has that element's masks, so a calculus that returns masks outside
+    the lattice is caught, not read as the element with the same union.
+    The masks transposed into vertex columns, which the oracle's join and
+    meet pass reads, are built when first read, as are the triples in
+    elements, so a command that only renders the lattice, joins and
+    meets, or looks its generators up with element_indices builds no
+    triple; one that only renders it builds no cover row either.
     """
 
     def __init__(self, graph: Digraph, cap: int = DEFAULT_LATTICE_CAP):
@@ -176,6 +178,27 @@ class ConLattice(FiniteLattice):
     def elements(self):
         graph = self.graph
         return [WangTriple._proved(graph, H, W, {}) for H, W in self.masks]
+
+    @cached_property
+    def columns(self):
+        """The elements transposed, as vertex columns (HC, WC): bit j of
+        HC[v] is set when v is in H_j, and of WC[v] when v is in W_j.
+        triples.join_columns and meet_columns read them."""
+        HC, WC = [0] * self.graph.n, [0] * self.graph.n
+        for j, (H, W) in enumerate(self.masks):
+            b = 1 << j
+            for v in bits(H):
+                HC[v] |= b
+            for v in bits(W):
+                WC[v] |= b
+        return HC, WC
+
+    def leq_idx(self, i, j) -> bool:
+        """t_i <= t_j, read as U_i ⊆ U_j (see the class docstring), so no
+        order row is built."""
+        H1, W1 = self.masks[i]
+        H2, W2 = self.masks[j]
+        return (H1 | W1) & ~(H2 | W2) == 0
 
     def _lookup(self, hw, what) -> int:
         """The index of the element with masks hw, found by its union; a
@@ -347,13 +370,22 @@ def predicate_atomistic(graph: Digraph) -> bool:
 def minimal_generating_set(graph: Digraph):
     """The congruences every generating set of the lattice must contain:
     one per sink, plus, for each non-sink vertex, the containment-minimal
-    hereditary sets leaving it exactly one out-edge."""
+    hereditary sets leaving it exactly one out-edge.
+
+    Each is built by WangTriple._proved, valid as it stands on the simple,
+    so acyclic, graph, where every cycle function is empty.  ({v}, ∅) for
+    a sink v: nothing leaves v, so {v} is hereditary.  (H, {v}) for a
+    range r in once[v]: H, the hereditary closure of v's other ranges, is
+    hereditary; it misses v, as no range of v reaches v on an acyclic
+    graph; and it holds every range of v but r, which it misses by the
+    test and which one edge of v reaches, so v keeps exactly one out-edge
+    outside H and lies in eligible(H)."""
     if not graph.is_simple():
         raise ValueError("requires a simple graph (acyclic, no parallel edges)")
     gens = []
     for v, succ in enumerate(graph.succ):
         if not succ:
-            gens.append(WangTriple(graph, 1 << v, 0))
+            gens.append(WangTriple._proved(graph, 1 << v, 0, {}))
     for v, succ in enumerate(graph.succ):
         if not succ:
             continue
@@ -364,7 +396,7 @@ def minimal_generating_set(graph: Digraph):
                 cands.add(H)
         for H in sorted(cands):
             if not any(other != H and other & ~H == 0 for other in cands):
-                gens.append(WangTriple(graph, H, 1 << v))
+                gens.append(WangTriple._proved(graph, H, 1 << v, {}))
     return gens
 
 

@@ -12,19 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .graphs import CapExceeded, Digraph, bits, mask_of
 from . import triples as _triples
 from .lattice import enumerate_lattice
 
 DEFAULT_ELEMENT_CAP = 400
-# Bounds the isomorphism check, which runs the calculus's (H, W) join and
+# Bounds the isomorphism check, which checks the calculus's (H, W) join and
 # meet on all n(n + 1)/2 pairs of the n congruences.  On a shared 2-core
-# machine `gislat oracle` takes 5–10 s on the graphs with 2,048
+# machine `gislat oracle` takes 2.5–5 s on the graphs with 2,048
 # congruences tried under the default element cap (11 isolated vertices
-# 4.7–5.2 s, 5 disjoint edges and a vertex 5.8–6.1 s, the 9-vertex path
-# with two isolated vertices 9.0–9.1 s and the 10-vertex path with one
-# 9.6–10.2 s; 2 runs each).
+# 2.5–2.9 s, 5 disjoint edges and a vertex 3.0–3.2 s, the 9-vertex path
+# with two isolated vertices 3.6 s and the 10-vertex path with one
+# 3.8–5.0 s; 2 runs each, wall time of a subprocess, at 20–35 MB).
 CONGRUENCE_CAP = 2048
 
 
@@ -76,10 +77,11 @@ def inverse(x):
 class MulTable:
     """Dense multiplication table of a finite graph inverse semigroup.
 
-    elements[0] is the zero; rows[i][j] is the index of the product.
-    generators holds the index of each vertex v, each edge e and each ghost
-    edge e*, and trans[a] lists a's translations by them: g·a for every
-    generator g, then a·g.
+    elements[0] is the zero, and the others are all the path pairs (p, q)
+    with equal range; rows[i][j] is the index of the product, written by
+    _product_rows.  generators holds the index of each vertex v, each edge
+    e and each ghost edge e*, and trans[a] lists a's translations by
+    them: g·a for every generator g, then a·g.
     """
 
     def __init__(self, graph: Digraph, elements):
@@ -87,8 +89,7 @@ class MulTable:
         self.elements = list(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
         idx = self.index
-        self.rows = rows = [[idx[multiply(graph, x, y)] for y in self.elements]
-                            for x in self.elements]
+        self.rows = rows = _product_rows(graph, self.elements, idx)
         gens = [idx[((v, ()), (v, ()))] for v in range(graph.n)]
         for e, (s, r) in enumerate(graph.edges):
             edge = ((s, (e,)), (r, ()))
@@ -104,6 +105,64 @@ class MulTable:
     def closures(self):
         """The closure store of the table's congruences (ClosureStore)."""
         return ClosureStore(self)
+
+
+def _product_rows(graph: Digraph, elements, index):
+    """The rows of the multiplication table of elements, which must hold
+    the zero and every path pair (p, q) with equal range, index mapping
+    each to its position.  Each row starts as [0] * n, the zero, and only
+    the nonzero products are written, the same ones multiply gives:
+
+    1. For x = (p, q) and y = (r, s), x y is (p t, s) when r = q t, and
+       (p, s t) when q = r t with t not empty, the two cases in which
+       multiply concatenates; it is zero when neither middle path extends
+       the other, and when x or y is zero.
+    2. In the first case y runs over the pairs (r, s) with first path r,
+       one for each path s ending where r ends, and x y over the pairs
+       (p t, s) with the same s, since p t ends where r does.  So with the
+       pairs of each first path listed in one order of s, the products
+       are the pairs of p t listed alike, matched entry by entry, for
+       each extension r = q t of q, q itself included.
+    3. In the second case s t runs over the paths ending where q ends, and
+       x y = (p, s t) is the pair of p at the place of s t: each suffix t
+       maps the place of s among the paths ending where t starts to the
+       place of s t among those ending where t ends, kept once per t.
+
+    multiply stays the axiom-level reference the tests compare with."""
+    n = len(elements)
+    rows = [[0] * n for _ in range(n)]
+    ends = {}  # each range to the paths ending there, one order for all
+    for x in elements:
+        if x is not None and x[0] == x[1]:  # each path is p in one (p, p)
+            ends.setdefault(graph.path_range(x[0]), []).append(x[0])
+    place = {p: k for ps in ends.values() for k, p in enumerate(ps)}
+    # firsts[p]: the pairs (p, s) in the order of ends
+    firsts = {p: [index[(p, s)] for s in ps]
+              for ps in ends.values() for p in ps}
+    extensions = {p: [] for p in firsts}  # q to each r = q t, with t
+    for r in firsts:
+        v, es = r
+        for k in range(len(es) + 1):
+            extensions[(v, es[:k])].append((r, es[k:]))
+    suffix_maps = {}
+    for x, row in zip(elements, rows):
+        if x is None:
+            continue
+        (v, ps), (w, qs) = x
+        for r, t in extensions[(w, qs)]:
+            for y, z in zip(firsts[r], firsts[(v, ps + t)]):
+                row[y] = z
+        pairs_of_p = firsts[(v, ps)]
+        for k in range(len(qs)):
+            t = qs[k:]
+            to = suffix_maps.get(t)
+            if to is None:
+                start = graph.edges[t[0]][0]
+                to = suffix_maps[t] = [place[(u, us + t)]
+                                       for u, us in ends[start]]
+            for y, z in zip(firsts[(w, qs[:k])], to):
+                row[y] = pairs_of_p[z]
+    return rows
 
 
 def build_semigroup(graph: Digraph, element_cap: int = DEFAULT_ELEMENT_CAP) -> MulTable:
@@ -142,11 +201,17 @@ def associativity_violations(table: MulTable):
        middle is r g for an element r reached before it and a generator g,
        so a product of middles by induction, and the rest are middles.
 
-    So when no middle has a violation, neither has any element.  Rows need
-    only be lists, generators a list of indices and 0 the zero."""
+    So when no middle has a violation, neither has any element.  x times
+    the row of g is x's row read at the entries of g's row, one
+    operator.itemgetter per middle, and the rows are compared as tuples.
+    A table of one element, the zero, has the one product 0 0 = 0 and is
+    associative.  Rows need only be lists, generators a list of indices
+    and 0 the zero."""
     rows = table.rows
-    gens = table.generators
     n = len(rows)
+    if n == 1:  # itemgetter of one index would give no tuple
+        return []
+    gens = table.generators
     reached = [False] * n
     frontier = [0, *gens]
     for a in frontier:
@@ -159,12 +224,12 @@ def associativity_violations(table: MulTable):
                 reached[b] = True
                 frontier.append(b)
     middles = sorted({0, *gens, *(a for a in range(n) if not reached[a])})
+    times_row = [(g, itemgetter(*rows[g])) for g in middles]
     bad = []
-    for x in range(n):
-        row_x = rows[x]
-        for g in middles:
-            left = rows[row_x[g]]
-            right = [row_x[v] for v in rows[g]]
+    for x, row_x in enumerate(rows):
+        for g, times in times_row:
+            left = tuple(rows[row_x[g]])
+            right = times(row_x)
             if left != right:
                 bad.extend((x, g, z) for z in range(n) if left[z] != right[z])
     return bad
@@ -592,10 +657,13 @@ def verify_isomorphism(graph: Digraph,
     r is the join of i and j iff up[r] == up[i] & up[j]: r lies in both
     rows, with every common element in its row; the meet is dual, on the
     rows of lat.down.  Once the order matches, these are the joins and
-    meets of Con(S).  The joins and meets come from the lattice, which
-    runs the calculus's (H, W) core on each pair; one that leaves the
-    element list is a mismatch too.  When the bijection checks fail, the
-    report fails anyway."""
+    meets of Con(S).  join_meet_failures checks the calculus against
+    them: its (H, W) core, run on one element and every other at once in
+    the lattice's vertex columns, must give each pair the masks of the
+    bound its rows name, and masks that are no element's, or another
+    element's, are a mismatch too.  A test holds that column form equal
+    to the per-pair triples.join_hw and meet_hw.  When the bijection
+    checks fail, the report fails anyway."""
     if table is None:
         table = build_semigroup(graph)
     elif table.graph != graph:
@@ -638,20 +706,84 @@ def verify_isomorphism(graph: Digraph,
                             f"{lat.elements[b]!r}: triple {not order_c}, "
                             f"congruence {order_c}")
 
-    checks = (("join", lat.join_idx, lat.up), ("meet", lat.meet_idx, lat.down))
-    for i in range(n):
-        for j in range(i, n):
-            for what, find, rows in checks:
-                try:
-                    found = rows[find(i, j)] == rows[i] & rows[j]
-                except ValueError:  # the calculus left the element list
-                    found = False
-                if not found:
-                    failures.append(f"{what} mismatch at {lat.elements[i]!r}, "
-                                    f"{lat.elements[j]!r}")
-
+    failures += join_meet_failures(lat)
     return IsoReport(passed=not failures,
                      semigroup_size=len(table),
                      lattice_size=n,
                      congruence_count=len(congs),
                      failures=failures)
+
+
+def _bounds(rows, i, lowest):
+    """The j >= i grouped by the element r whose row is rows[i] & rows[j],
+    as a dict from each r to the mask of its j's, with the j's that have
+    no such r under -1.  r is sought at the lowest member of the AND for
+    up rows and the highest for down rows, where it is when the rows are
+    closed from covers along a linear extension, and then at the other
+    members, so that injected rows are read alike."""
+    groups = {}
+    get = groups.get
+    for j, a in enumerate(map(rows[i].__and__, rows[i:]), i):
+        r = (a & -a).bit_length() - 1 if lowest else a.bit_length() - 1
+        if r < 0 or rows[r] != a:
+            r = next((k for k in bits(a) if rows[k] == a), -1)
+        groups[r] = get(r, 0) | 1 << j
+    return groups
+
+
+def join_meet_failures(lat):
+    """The join and meet mismatches of lat, a ConLattice: for each pair
+    i <= j, by i and then j, a join mismatch when the calculus's (H, W)
+    join of the two is not the lattice's own join, then a meet mismatch
+    likewise.
+
+    1. The lattice's rows are reflexive and transitive, so r is the join
+       of i and j iff up[r] == up[i] & up[j], and the meet iff
+       down[r] == down[i] & down[j] (see verify_isomorphism); _bounds
+       finds that r for every j >= i.
+    2. The masks of distinct elements differ, so the calculus is right at
+       (i, j) iff it gives the masks of r.  That is the per-pair test
+       the tests keep: look the calculus's masks up, and compare the row
+       of what is found with the AND.
+    3. So the columns want, with the j's of each r set at the vertices of
+       H_r and of W_r, must equal the columns triples.join_columns or
+       meet_columns give for i and every j at once.  Each j where they
+       differ, or with no r, is one mismatch.
+
+    When the rows are closed from covers along a linear extension, r is
+    the lowest member of up[r] and the highest of down[r], so no two
+    elements share a row.  Should two rows be equal, the two elements lie
+    each below the other, and the order check fails the report anyway:
+    the realized congruences are ordered by refinement, which is
+    antisymmetric."""
+    graph, masks, n = lat.graph, lat.masks, lat.n
+    HC, WC = lat.columns
+    ones = (1 << n) - 1
+    passes = ((_triples.join_columns, lat.up, True),
+              (_triples.meet_columns, lat.down, False))
+    failures = []
+    for i in range(n):
+        bad = []
+        for columns, rows, lowest in passes:
+            got_H, got_W = columns(graph, *masks[i], HC, WC, ones)
+            want_H, want_W = [0] * graph.n, [0] * graph.n
+            groups = _bounds(rows, i, lowest)
+            diff = groups.pop(-1, 0)
+            for r, js in groups.items():
+                H, W = masks[r]
+                for v in bits(H):
+                    want_H[v] |= js
+                for v in bits(W):
+                    want_W[v] |= js
+            for v in range(graph.n):
+                diff |= got_H[v] ^ want_H[v] | got_W[v] ^ want_W[v]
+            bad.append(diff >> i << i)  # the j >= i
+        join_bad, meet_bad = bad
+        a = lat.elements[i]
+        for j in bits(join_bad | meet_bad):
+            b = lat.elements[j]
+            if join_bad >> j & 1:
+                failures.append(f"join mismatch at {a!r}, {b!r}")
+            if meet_bad >> j & 1:
+                failures.append(f"meet mismatch at {a!r}, {b!r}")
+    return failures

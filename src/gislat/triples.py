@@ -223,6 +223,76 @@ def meet_hw(g: Digraph, H1: int, W1: int, H2: int, W2: int):
     return H1 & H2, W
 
 
+# -- join_hw and meet_hw in vertex columns ---------------------------------
+#
+# The oracle runs the (H, W) core on every pair of a lattice's elements.
+# There the elements are stored transposed, as vertex columns: bit j of
+# HC[v] is set when v is in H_j, and of WC[v] when v is in W_j.  The two
+# functions below apply join_hw's and meet_hw's formulas to one (H1, W1)
+# and every j at once, bit j of each column standing for the pair with
+# element j; tests hold column j equal to join_hw and meet_hw.  The
+# per-pair core stays the faster one for a single pair.
+
+
+def join_columns(g: Digraph, H1: int, W1: int, HC, WC, ones: int):
+    """The columns (H, W) of join_hw(g, H1, W1, H_j, W_j) for every j at
+    once, on an acyclic graph: bit j of H[v] is set when v is in the H of
+    the join with element j, and likewise W.  HC and WC are the elements'
+    vertex columns and ones has the bit of every element set.
+
+    For each bit j the column form reads join_hw's formulas: h12[v], for
+    H1 u H2, is all ones when v is in H1 and HC[v] otherwise; rest[v],
+    for (W1 u W2) \\ h12, is all ones when v is in W1 and WC[v] otherwise,
+    outside h12[v].  v is a dead end where it is in rest and every range
+    u of v is in h12, the AND of h12[u] over succ[v].
+    J is the least set holding the dead ends and each v of rest with a
+    range in J.  On an acyclic graph one pass with each vertex after its
+    ranges finds it: v is in J iff it is a dead end or in rest with some
+    range u in J, and J[u] is final for every range u by then.  Sorting
+    by the size of reach gives that order: v reaches all that a range
+    r != v of v reaches, and v itself, which r does not reach on an
+    acyclic graph.  So
+    J[v] = rest[v] & (AND of h12[u] | OR of J[u]) over the ranges u, the
+    AND being all ones for a sink.  The join is (h12 | J, rest & ~J)."""
+    h12, jc = [0] * g.n, [0] * g.n
+    H, W = [0] * g.n, [0] * g.n
+    succ, reach = g.succ, g.reach
+    for v in sorted(range(g.n), key=lambda v: reach[v].bit_count()):
+        h = ones if H1 >> v & 1 else HC[v]
+        rest = (ones if W1 >> v & 1 else WC[v]) & ~h
+        dead, reached = ones, 0
+        for u in bits(succ[v]):
+            dead &= h12[u]
+            reached |= jc[u]
+        j = rest & (dead | reached)
+        h12[v], jc[v] = h, j
+        H[v], W[v] = h | j, rest & ~j
+    return H, W
+
+
+def meet_columns(g: Digraph, H1: int, W1: int, HC, WC, ones: int):
+    """The columns (H, W) of meet_hw(g, H1, W1, H_j, W_j) for every j at
+    once, as join_columns gives the joins.  For each bit j: H[v] is HC[v]
+    where v is in H1 and empty elsewhere; both[v], W1 n W2, is WC[v]
+    where v is in W1; v is a dead end where it is in both and every range
+    u of v is in h12[u], h12 being H1 u H2 as in join_columns (both
+    misses h12, as W1 misses H1 and each W_j its H_j); and W[v] is WC[v]
+    where v is in H1, and HC[v] with both[v] outside the dead ends where
+    v is in W1."""
+    h12 = [ones if H1 >> v & 1 else HC[v] for v in range(g.n)]
+    H, W = [0] * g.n, [0] * g.n
+    succ = g.succ
+    for v in range(g.n):
+        if H1 >> v & 1:
+            H[v], W[v] = HC[v], WC[v]
+        elif W1 >> v & 1:
+            dead = WC[v]
+            for u in bits(succ[v]):
+                dead &= h12[u]
+            W[v] = HC[v] | WC[v] & ~dead
+    return H, W
+
+
 def _result(g, t1, t2, H, W, combine) -> WangTriple:
     """The proved triple (H, W, f), f combining t1 and t2 on the cycles
     inside H u W that leave H; every other value is forced."""
@@ -340,12 +410,20 @@ def downward_directed_check(t1: WangTriple, t2: WangTriple) -> bool:
 def atoms(graph: Digraph):
     """All atoms: singleton-W triples over an empty H, and hereditary
     strongly connected components whose non-sink vertices all have two or
-    more out-edges."""
+    more out-edges.
+
+    Each is built by WangTriple._proved with no stored cycle value, and is
+    valid as it stands.  (∅, {v}, f): ∅ is hereditary, v is drawn from
+    eligible(∅), so it keeps exactly one out-edge, and with nothing stored
+    every cycle through v takes infinity, which W allows.  (C, ∅, f): C is
+    checked hereditary, W is empty, and with nothing stored the cycles
+    inside C take 1 and every other cycle, leaving C = H u W, infinity:
+    the forced values."""
     one = graph.eligible(0)
-    out = [WangTriple(graph, 0, 1 << v) for v in bits(one)]
+    out = [WangTriple._proved(graph, 0, 1 << v, {}) for v in bits(one)]
     for comp in graph.strongly_connected_components():
         if graph.is_hereditary(comp) and not comp & one:
-            out.append(WangTriple(graph, comp, 0))
+            out.append(WangTriple._proved(graph, comp, 0, {}))
     return out
 
 

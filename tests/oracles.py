@@ -7,8 +7,11 @@ checked over all pairs or triples of elements, atomisticity by closing the
 atoms under joins, the pentagon and diamond sublattice finders, and the
 join closure of generating sets over all pairs found.  The semigroup
 oracle's congruence closure and enumeration have their direct versions at
-the end, with the partition meet and refinement test that the isomorphism
-check no longer needs, the associativity check over all triples that
+the end, with the table built by multiply product by product, which
+writing only the nonzero products replaced, the isomorphism check's join
+and meet pass over pairs, which the pass in vertex columns replaced, the
+partition meet and refinement test that the isomorphism check no longer
+needs, the associativity check over all triples that
 Light's test replaced, and the enumeration by joins with every principal
 congruence that joins with the join-irreducibles replaced.  Then comes the
 census canonical form over all n! vertex permutations, which colour
@@ -41,8 +44,8 @@ from gislat.cli import (JSON_FORMAT, dot_escape, graph_json,
                         lattice_properties, triple_json)
 from gislat.graphs import bits, mask_of
 from gislat.lattice import FiniteLattice
-from gislat.oracle import (generated_congruence, inverse, partition_join,
-                           principal_congruences)
+from gislat.oracle import (generated_congruence, inverse, multiply,
+                           partition_join, principal_congruences)
 from gislat import triples
 from gislat.triples import INF, divides, is_prime
 
@@ -282,10 +285,38 @@ ORACLES = {
 
 # -- congruence oracles ---------------------------------------------------------
 #
-# The library closes a congruence under translations by the generators only,
-# joins only with join-irreducible congruences, and closes each principal
-# congruence from an already-closed translate.  These are the direct
-# versions.
+# The library writes only the nonzero products of its table, checks joins
+# and meets in vertex columns, closes a congruence under translations by the
+# generators only, joins only with join-irreducible congruences, and closes
+# each principal congruence from an already-closed translate.  These are the
+# direct versions.
+
+
+def rows_by_multiply(table):
+    """Test oracle for MulTable.rows: every product of the table's
+    elements by multiply, the axiom-level rule, looked up in its index."""
+    idx, graph, elements = table.index, table.graph, table.elements
+    return [[idx[multiply(graph, x, y)] for y in elements] for x in elements]
+
+
+def join_meet_failures_by_pairs(lat):
+    """Test oracle for oracle.join_meet_failures: for each pair i <= j,
+    the calculus's join and meet, found by join_idx and meet_idx, must
+    have the AND of the two elements' up rows, or down rows, as its own
+    row; a result that leaves the element list fails too."""
+    failures = []
+    checks = (("join", lat.join_idx, lat.up), ("meet", lat.meet_idx, lat.down))
+    for i in range(lat.n):
+        for j in range(i, lat.n):
+            for what, find, rows in checks:
+                try:
+                    found = rows[find(i, j)] == rows[i] & rows[j]
+                except ValueError:  # the calculus left the element list
+                    found = False
+                if not found:
+                    failures.append(f"{what} mismatch at {lat.elements[i]!r}, "
+                                    f"{lat.elements[j]!r}")
+    return failures
 
 
 def all_triples_violations(rows):

@@ -364,12 +364,36 @@ def test_verify_isomorphism_longer_paths(k, size, congruences):
     assert report.lattice_size == report.congruence_count == congruences
 
 
-def inject(monkeypatch, lat, name, i, j, k):
-    """Make lat's join_idx or meet_idx (name) answer k for the pair i, j,
-    either way round, and every other pair as before."""
-    real = getattr(lat, name)
-    monkeypatch.setattr(lat, name,
-                        lambda a, b: k if {a, b} == {i, j} else real(a, b))
+def inject(monkeypatch, lat, what, i, j, hw):
+    """Make the calculus's (H, W) join or meet (what) answer the masks hw
+    for the elements i <= j, and every other pair as before: in
+    triples.join_hw or meet_hw, which lat.join_idx and meet_idx and the
+    per-pair reference read, and in column j of triples.join_columns or
+    meet_columns run for element i, which the oracle reads."""
+    pair = (*lat.masks[i], *lat.masks[j])
+    real_hw = getattr(oracle._triples, f"{what}_hw")
+    monkeypatch.setattr(
+        oracle._triples, f"{what}_hw",
+        lambda graph, *hw2: hw if hw2 == pair else real_hw(graph, *hw2))
+    real_columns = getattr(oracle._triples, f"{what}_columns")
+
+    def columns(graph, H1, W1, *rest):
+        H, W = real_columns(graph, H1, W1, *rest)
+        if (H1, W1) == lat.masks[i]:
+            bit = 1 << j
+            H = [h & ~bit | (hw[0] >> v & 1) << j for v, h in enumerate(H)]
+            W = [w & ~bit | (hw[1] >> v & 1) << j for v, w in enumerate(W)]
+        return H, W
+
+    monkeypatch.setattr(oracle._triples, f"{what}_columns", columns)
+
+
+def agrees_with_pairs(lat):
+    """The oracle's join and meet failures on lat, checked against the
+    per-pair reference."""
+    failures = oracle.join_meet_failures(lat)
+    assert failures == oracles.join_meet_failures_by_pairs(lat)
+    return failures
 
 
 def test_verify_isomorphism_reports_wrong_joins_and_meets(monkeypatch):
@@ -384,9 +408,10 @@ def test_verify_isomorphism_reports_wrong_joins_and_meets(monkeypatch):
         for i, j in all_pairs(lat.n):
             meet, join = lat.meet_idx(i, j), lat.join_idx(i, j)
             if meet not in (i, j, lat.bottom) and join != lat.top:
-                inject(monkeypatch, lat, "meet_idx", i, j, lat.bottom)
-                inject(monkeypatch, lat, "join_idx", i, j, lat.top)
+                inject(monkeypatch, lat, "meet", i, j, lat.masks[lat.bottom])
+                inject(monkeypatch, lat, "join", i, j, lat.masks[lat.top])
                 wrong["pair"] = lat.elements[i], lat.elements[j]
+                wrong["lat"] = lat
                 return lat
         raise AssertionError("no pair to corrupt")
 
@@ -396,16 +421,7 @@ def test_verify_isomorphism_reports_wrong_joins_and_meets(monkeypatch):
     assert not report.passed
     assert report.failures == [f"join mismatch at {a!r}, {b!r}",
                                f"meet mismatch at {a!r}, {b!r}"]
-
-
-def inject_join_hw(monkeypatch, lat, i, j, wrong):
-    """Make the calculus's (H, W) join answer the masks wrong for the
-    elements i and j, in that order, and every other pair as before."""
-    pair = (*lat.masks[i], *lat.masks[j])
-    real = oracle._triples.join_hw
-    monkeypatch.setattr(
-        oracle._triples, "join_hw",
-        lambda graph, *hw: wrong if hw == pair else real(graph, *hw))
+    assert agrees_with_pairs(wrong["lat"]) == report.failures
 
 
 def test_verify_isomorphism_reports_join_outside_the_lattice(
@@ -420,9 +436,10 @@ def test_verify_isomorphism_reports_join_outside_the_lattice(
     a, b = lat.elements[1], lat.elements[2]
     H, W = lat.masks[lat.join_idx(1, 2)]
     assert H  # so (0, H | W) is other masks with the same union
-    inject_join_hw(monkeypatch, lat, 1, 2, (0, H | W))
+    inject(monkeypatch, lat, "join", 1, 2, (0, H | W))
     report = verify_isomorphism(g)
     assert report.failures == [f"join mismatch at {a!r}, {b!r}"]
+    assert agrees_with_pairs(lat) == report.failures
 
     graph_file = tmp_path / "split.graph"
     graph_file.write_text(format_graph(g))
@@ -440,10 +457,11 @@ def test_verify_isomorphism_reports_join_with_no_such_union(monkeypatch):
     lat = oracle.enumerate_lattice(g)
     b_only = g.vertex_set("b")
     assert b_only not in lat.by_union
-    inject_join_hw(monkeypatch, lat, 1, 2, (0, b_only))
+    inject(monkeypatch, lat, "join", 1, 2, (0, b_only))
     report = verify_isomorphism(g)
     a, b = lat.elements[1], lat.elements[2]
     assert report.failures == [f"join mismatch at {a!r}, {b!r}"]
+    assert agrees_with_pairs(lat) == report.failures
 
 
 def serve(monkeypatch, lat):
@@ -552,11 +570,12 @@ def test_verify_isomorphism_reports_join_not_above_both(monkeypatch,
         (i, j, k) for i, j in all_pairs(lat.n) for k in range(lat.n)
         if k != lat.join_idx(i, j) and blocks[k] == blocks[lat.join_idx(i, j)]
         and not (lat.leq_idx(i, k) and lat.leq_idx(j, k)))
-    inject(monkeypatch, lat, "join_idx", i, j, k)
+    inject(monkeypatch, lat, "join", i, j, lat.masks[k])
     serve(monkeypatch, lat)
     report = verify_isomorphism(g)
     a, b = lat.elements[i], lat.elements[j]
     assert report.failures == [f"join mismatch at {a!r}, {b!r}"]
+    assert agrees_with_pairs(lat) == report.failures
 
 
 def test_verify_isomorphism_reports_meet_not_below_both(monkeypatch,
@@ -568,11 +587,12 @@ def test_verify_isomorphism_reports_meet_not_below_both(monkeypatch,
         (i, j, k) for i, j in all_pairs(lat.n) for k in range(lat.n)
         if k != lat.meet_idx(i, j) and blocks[k] == blocks[lat.meet_idx(i, j)]
         and not (lat.leq_idx(k, i) and lat.leq_idx(k, j)))
-    inject(monkeypatch, lat, "meet_idx", i, j, k)
+    inject(monkeypatch, lat, "meet", i, j, lat.masks[k])
     serve(monkeypatch, lat)
     report = verify_isomorphism(g)
     a, b = lat.elements[i], lat.elements[j]
     assert report.failures == [f"meet mismatch at {a!r}, {b!r}"]
+    assert agrees_with_pairs(lat) == report.failures
 
 
 def test_verify_isomorphism_reports_join_and_meet_not_bounds(monkeypatch,
@@ -585,13 +605,14 @@ def test_verify_isomorphism_reports_join_and_meet_not_bounds(monkeypatch,
     g, lat, _ = split_lattice
     i, j = next((i, j) for i, j in all_pairs(lat.n)
                 if not (lat.leq_idx(i, j) or lat.leq_idx(j, i)))
-    inject(monkeypatch, lat, "join_idx", i, j, i)
-    inject(monkeypatch, lat, "meet_idx", i, j, i)
+    inject(monkeypatch, lat, "join", i, j, lat.masks[i])
+    inject(monkeypatch, lat, "meet", i, j, lat.masks[i])
     serve(monkeypatch, lat)
     report = verify_isomorphism(g)
     a, b = lat.elements[i], lat.elements[j]
     assert report.failures == [f"join mismatch at {a!r}, {b!r}",
                                f"meet mismatch at {a!r}, {b!r}"]
+    assert agrees_with_pairs(lat) == report.failures
 
 
 def test_verify_isomorphism_reports_two_triples_on_one_congruence(
