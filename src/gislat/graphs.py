@@ -219,19 +219,14 @@ class Digraph:
 
     def strongly_connected_components(self):
         """Partition of the vertices into maximal mutually-reachable classes,
-        as bitmasks ordered by least member."""
-        seen = 0
-        comps = []
-        for v in range(self.n):
-            if seen >> v & 1:
-                continue
-            comp = 0
-            for u in bits(self.reach[v]):
-                if self.reach[u] >> v & 1:
-                    comp |= 1 << u
-            comps.append(comp)
-            seen |= comp
-        return comps
+        as bitmasks ordered by least member: the vertices grouped by equal
+        reach rows, each row read once.  Reach is reflexive, so vertices
+        with equal rows reach each other, and mutually reachable vertices
+        reach the same vertices, so their rows are equal."""
+        comps = {}  # each reach row to its component, in first-seen order
+        for v, row in enumerate(self.reach):
+            comps[row] = comps.get(row, 0) | 1 << v
+        return list(comps.values())
 
     # -- removing a vertex set ----------------------------------------------
 

@@ -90,7 +90,7 @@ class MulTable:
         self.index = {x: i for i, x in enumerate(self.elements)}
         idx = self.index
         self.rows = rows = _product_rows(graph, self.elements, idx)
-        gens = [idx[((v, ()), (v, ()))] for v in range(graph.n)]
+        gens = [idx[_triples.vertex_element(v)] for v in range(graph.n)]
         for e, (s, r) in enumerate(graph.edges):
             edge = ((s, (e,)), (r, ()))
             gens += [idx[edge], idx[inverse(edge)]]
@@ -657,13 +657,12 @@ def verify_isomorphism(graph: Digraph,
     r is the join of i and j iff up[r] == up[i] & up[j]: r lies in both
     rows, with every common element in its row; the meet is dual, on the
     rows of lat.down.  Once the order matches, these are the joins and
-    meets of Con(S).  join_meet_failures checks the calculus against
-    them: its (H, W) core, run on one element and every other at once in
-    the lattice's vertex columns, must give each pair the masks of the
-    bound its rows name, and masks that are no element's, or another
-    element's, are a mismatch too.  A test holds that column form equal
-    to the per-pair triples.join_hw and meet_hw.  When the bijection
-    checks fail, the report fails anyway."""
+    meets of Con(S), and join_meet_failures checks the calculus's (H, W)
+    core against them in the lattice's vertex columns: each pair must get
+    the masks of the element whose row is the pair's AND, found by one
+    dict lookup.  A test holds that column form equal to the per-pair
+    triples.join_hw and meet_hw.  When the bijection checks fail, the
+    report fails anyway."""
     if table is None:
         table = build_semigroup(graph)
     elif table.graph != graph:
@@ -714,23 +713,6 @@ def verify_isomorphism(graph: Digraph,
                      failures=failures)
 
 
-def _bounds(rows, i, lowest):
-    """The j >= i grouped by the element r whose row is rows[i] & rows[j],
-    as a dict from each r to the mask of its j's, with the j's that have
-    no such r under -1.  r is sought at the lowest member of the AND for
-    up rows and the highest for down rows, where it is when the rows are
-    closed from covers along a linear extension, and then at the other
-    members, so that injected rows are read alike."""
-    groups = {}
-    get = groups.get
-    for j, a in enumerate(map(rows[i].__and__, rows[i:]), i):
-        r = (a & -a).bit_length() - 1 if lowest else a.bit_length() - 1
-        if r < 0 or rows[r] != a:
-            r = next((k for k in bits(a) if rows[k] == a), -1)
-        groups[r] = get(r, 0) | 1 << j
-    return groups
-
-
 def join_meet_failures(lat):
     """The join and meet mismatches of lat, a ConLattice: for each pair
     i <= j, by i and then j, a join mismatch when the calculus's (H, W)
@@ -739,35 +721,45 @@ def join_meet_failures(lat):
 
     1. The lattice's rows are reflexive and transitive, so r is the join
        of i and j iff up[r] == up[i] & up[j], and the meet iff
-       down[r] == down[i] & down[j] (see verify_isomorphism); _bounds
-       finds that r for every j >= i.
-    2. The masks of distinct elements differ, so the calculus is right at
+       down[r] == down[i] & down[j] (see verify_isomorphism).
+    2. A lattice's rows are distinct: two equal reflexive rows put each
+       element below the other, and the order is antisymmetric.  So a
+       dict from each row to its element names r with one lookup of the
+       AND, for every j >= i, and an AND that is no row has no r.
+    3. The masks of distinct elements differ, so the calculus is right at
        (i, j) iff it gives the masks of r.  That is the per-pair test
        the tests keep: look the calculus's masks up, and compare the row
        of what is found with the AND.
-    3. So the columns want, with the j's of each r set at the vertices of
+    4. So the columns want, with the j's of each r set at the vertices of
        H_r and of W_r, must equal the columns triples.join_columns or
        meet_columns give for i and every j at once.  Each j where they
        differ, or with no r, is one mismatch.
 
-    When the rows are closed from covers along a linear extension, r is
-    the lowest member of up[r] and the highest of down[r], so no two
-    elements share a row.  Should two rows be equal, the two elements lie
-    each below the other, and the order check fails the report anyway:
-    the realized congruences are ordered by refinement, which is
+    Should a corrupted order repeat a row, the dict names the lowest
+    element with it.  The order check fails such an order anyway: the
+    realized congruences are ordered by refinement, which is
     antisymmetric."""
     graph, masks, n = lat.graph, lat.masks, lat.n
     HC, WC = lat.columns
     ones = (1 << n) - 1
-    passes = ((_triples.join_columns, lat.up, True),
-              (_triples.meet_columns, lat.down, False))
+    passes = []
+    for columns, rows in ((_triples.join_columns, lat.up),
+                          (_triples.meet_columns, lat.down)):
+        named = {}  # each row to the lowest element with it
+        for r, row in enumerate(rows):
+            named.setdefault(row, r)
+        passes.append((columns, rows, named.get))
     failures = []
     for i in range(n):
         bad = []
-        for columns, rows, lowest in passes:
+        for columns, rows, name in passes:
             got_H, got_W = columns(graph, *masks[i], HC, WC, ones)
             want_H, want_W = [0] * graph.n, [0] * graph.n
-            groups = _bounds(rows, i, lowest)
+            groups = {}  # each bound r to the mask of its j's, -1 for none
+            get = groups.get
+            for j, a in enumerate(map(rows[i].__and__, rows[i:]), i):
+                r = name(a, -1)
+                groups[r] = get(r, 0) | 1 << j
             diff = groups.pop(-1, 0)
             for r, js in groups.items():
                 H, W = masks[r]

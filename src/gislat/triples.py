@@ -12,6 +12,7 @@ cyclic or not.
 from __future__ import annotations
 
 import math
+import operator
 
 from .graphs import Digraph, bits
 
@@ -53,6 +54,16 @@ def is_prime(n) -> bool:
     return True
 
 
+def _vertex_mask(name, mask) -> int:
+    """mask as an int vertex set; a bool is an int, but no vertex set."""
+    try:
+        if isinstance(mask, bool):
+            raise TypeError
+        return operator.index(mask)
+    except TypeError:
+        raise ValueError(f"{name} is not a vertex-set mask: {mask!r}") from None
+
+
 class WangTriple:
     """An (H, W, f) triple on a fixed graph, validated at construction;
     results the calculus proves valid are built unchecked by _proved.
@@ -66,6 +77,7 @@ class WangTriple:
     __slots__ = ("graph", "H", "W", "f", "_fmap", "_hash")
 
     def __init__(self, graph: Digraph, H: int, W: int, f=()):
+        H, W = _vertex_mask("H", H), _vertex_mask("W", W)
         if H & ~graph.full or W & ~graph.full:
             raise ValueError("vertex set out of range")
         if not graph.is_hereditary(H):

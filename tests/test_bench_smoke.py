@@ -1,19 +1,23 @@
-"""The oracle benchmark as a smoke test: one short run of bench/run.py
-checks every output of the oracle workload against bench/reference.py, so
-the benchmark's reference checks run with the tests."""
+"""The oracle and census benchmarks as smoke tests: one short run of
+bench/run.py checks every output of the workload against
+bench/reference.py, so the benchmark's reference checks run with the
+tests."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_oracle_benchmark_is_correct():
+@pytest.mark.parametrize("workload", ["oracle", "census"])
+def test_benchmark_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"),
-         "--workload", "oracle", "--seconds", "1"],
+         "--workload", workload, "--seconds", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -428,20 +428,49 @@ def test_atomistic_example_shape():
     assert len(g.cycles_in(core)) == 3
 
 
-def test_graph_layer_matches_networkx():
-    """Reachability, strongly connected components and the cycle count
-    against networkx, on seeded random simple digraphs with self-loops."""
-    nx = pytest.importorskip("networkx")
+def networkx_graphs(nx):
+    """Seeded (vertex count, edges, networkx graph) triples: 300 random
+    simple digraphs with self-loops, and 300 random multigraphs on 1 to 7
+    vertices with a loop and a parallel edge each."""
+    out = []
     for seed in range(300):
         rnd = random.Random(seed)
         n = rnd.randint(1, 6)
         p = rnd.random()
         edges = [(u, v) for u in range(n) for v in range(n) if rnd.random() < p]
+        out.append((n, edges, nx.DiGraph(edges)))
+    for seed in range(300):
+        rnd = random.Random(f"multigraph {seed}")
+        n = rnd.randint(1, 7)
+        edges = [(rnd.randrange(n), rnd.randrange(n))
+                 for _ in range(rnd.randint(0, 2 * n))]
+        v = rnd.randrange(n)
+        edges.append((v, v))
+        edges.append(rnd.choice(edges))
+        rnd.shuffle(edges)
+        out.append((n, edges, nx.MultiDiGraph(edges)))
+    return out
+
+
+def test_graph_layer_matches_networkx():
+    """Reachability, strongly connected components in least-member order
+    and the cycle count against networkx, on seeded random simple digraphs
+    with self-loops and multigraphs with loops and parallel edges.  A
+    networkx cycle is a vertex sequence; it is as many cycles of edges as
+    the product of the edge counts along it."""
+    nx = pytest.importorskip("networkx")
+    for n, edges, ref in networkx_graphs(nx):
         g = Digraph([f"v{i}" for i in range(n)], edges)
-        ref = nx.DiGraph(edges)
         ref.add_nodes_from(range(n))
         for v in range(n):
-            assert g.reach[v] == mask_of(nx.descendants(ref, v) | {v}), seed
-        assert (sorted(g.strongly_connected_components())
-                == sorted(map(mask_of, nx.strongly_connected_components(ref)))), seed
-        assert len(g.cycles()) == sum(1 for _ in nx.simple_cycles(ref)), seed
+            assert g.reach[v] == mask_of(nx.descendants(ref, v) | {v}), edges
+        assert g.strongly_connected_components() == [
+            mask_of(c) for c in sorted(nx.strongly_connected_components(ref),
+                                       key=min)], edges
+        count = 0
+        for cycle in nx.simple_cycles(ref):
+            ways = 1
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                ways *= ref.number_of_edges(u, v)
+            count += ways
+        assert len(g.cycles()) == count, edges

@@ -120,13 +120,29 @@ def test_bound_is_sought_among_other_members():
     """Rows that are not closed along a linear extension: with the
     bottom's bit added to the up row of an atom, the AND of the two rows
     has the bottom as its lowest member, yet the atom's row is the one
-    equal to it, and the pair's join is found there."""
+    equal to it, and the pair's join is found there by its row, as the
+    loop over pairs finds it."""
     lat = enumerate_lattice(make_split_graph())
     lat.up = list(lat.up)
     lat.up[1] |= 1
     assert lat.up[0] & lat.up[1] == lat.up[1] != lat.up[0]
-    assert oracle._bounds(lat.up, 0, True)[1] >> 1 & 1
-    assert oracle.join_meet_failures(lat) == []
+    assert oracle.join_meet_failures(lat) == \
+        oracles.join_meet_failures_by_pairs(lat) == []
+
+
+def test_a_repeated_row_names_its_lowest_element():
+    """A corrupted order that gives an atom the bottom's up row: that row
+    names the bottom, the lowest element with it, so the atom's join with
+    the bottom and with itself mismatch.  The loop over pairs, which takes
+    any element with the row, reports only the other failures."""
+    lat = enumerate_lattice(make_split_graph())
+    lat.up = list(lat.up)
+    lat.up[1] = lat.up[0]
+    failures = oracle.join_meet_failures(lat)
+    bottom, atom = lat.elements[:2]
+    assert failures[:2] == [f"join mismatch at {bottom!r}, {atom!r}",
+                            f"join mismatch at {atom!r}, {atom!r}"]
+    assert failures[2:] == oracles.join_meet_failures_by_pairs(lat) != []
 
 
 def test_leq_idx_reads_unions():

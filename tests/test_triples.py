@@ -91,6 +91,26 @@ def test_validate_rejects_bool_values(loop):
             WangTriple(loop, H, W, {(0,): val})
 
 
+def test_validate_rejects_masks_that_are_not_vertex_sets(split_graph):
+    """A bool is an int, but no vertex set, and a float or a string is not
+    taken for one: each is a ValueError naming the mask.  What
+    operator.index takes is a mask, stored as an int."""
+    c = split_graph.vertex_set("c")
+    for H, W, name, bad in ((True, False, "H", True), (1.0, 0, "H", 1.0),
+                            (c, False, "W", False), (c, "2", "W", "2"),
+                            (c, None, "W", None)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} is not a vertex-set mask: {bad!r}")):
+            WangTriple(split_graph, H, W)
+
+    class C:
+        def __index__(self):
+            return c
+
+    t = WangTriple(split_graph, C(), 0)
+    assert type(t.H) is int and t == WangTriple(split_graph, c, 0)
+
+
 def test_f_normalisation(loop):
     assert WangTriple(loop, 0, 1, {(0,): INF}).f == ()
     assert WangTriple(loop, 1, 0, {(0,): 1}).f == ()
