@@ -14,8 +14,9 @@ import re
 import sys
 from functools import cache
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 
-from .graphs import CapExceeded, Digraph
+from .graphs import CapExceeded, Digraph, bits
 from . import lattice as _lattice
 from . import oracle as _oracle
 from .census import simple_graphs
@@ -59,7 +60,8 @@ def parse_graph_text(text: str) -> Digraph:
                                       lineno, col)
             name = tokens[1]
             if name in index:
-                raise GraphParseError(f"duplicate vertex {name!r}", lineno, col)
+                raise GraphParseError(f"duplicate vertex {name!r}",
+                                      lineno, spans[1][1])
             index[name] = len(names)
             names.append(name)
         elif keyword == "edge":
@@ -110,20 +112,31 @@ def dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def lattice_json(lat: ConLattice, properties: bool = False) -> dict:
-    doc = {"format": JSON_FORMAT}
-    doc.update(graph_json(lat.graph))
-    # triple_json of each element, read off the masks: an acyclic graph's
-    # triples have no cycle function.  A lattice repeats each H across all
-    # its W, so a few hundred masks name thousands of elements.
-    names = cache(lat.graph.vertex_names)
-    doc["elements"] = [{"H": names(H), "W": names(W)} for H, W in lat.masks]
-    doc["covers"] = lat.cover_list
-    doc["bottom"] = lat.bottom
-    doc["top"] = lat.top
+def lattice_json(lat: ConLattice, properties: bool = False) -> str:
+    """The document of `lattice --json`, written as text: the bytes
+    json.dumps gives for {"format", "vertices", "edges", "elements",
+    "covers", "bottom", "top"} and, with properties, "properties", with no
+    list built per cover nor dict per element."""
+    graph = lat.graph
+    head = json.dumps({"format": JSON_FORMAT, **graph_json(graph)})
+    # each element is triple_json of its masks: an acyclic graph's triples
+    # have no cycle function.  Each name is escaped once, as json.dumps
+    # escapes it, and each mask named once: a lattice repeats each H
+    # across all its W, so a few hundred masks name thousands of elements.
+    quoted = list(map(encode_basestring_ascii, graph.names))
+
+    @cache
+    def names(mask):
+        return "[" + ", ".join([quoted[v] for v in bits(mask)]) + "]"
+
+    elements = ", ".join([f'{{"H": {names(H)}, "W": {names(W)}}}'
+                          for H, W in lat.masks])
+    covers = ", ".join(map("[{}, {}]".format, lat.cover_from, lat.cover_to))
+    tail = f', "bottom": {lat.bottom}, "top": {lat.top}'
     if properties:
-        doc["properties"] = lattice_properties(lat)
-    return doc
+        tail += ', "properties": ' + json.dumps(lattice_properties(lat))
+    return (f'{head[:-1]}, "elements": [{elements}], "covers": [{covers}]'
+            f'{tail}}}')
 
 
 def lattice_properties(lat: ConLattice) -> dict:
@@ -146,8 +159,7 @@ def lattice_dot(lat: ConLattice) -> str:
     braces = cache(lambda mask: dot_escape("{" + ",".join(names(mask)) + "}"))
     for i, (H, W) in enumerate(lat.masks):
         lines.append(f'  n{i} [label="({braces(H)}, {braces(W)}, ∅)"];')
-    for i, j in lat.cover_list:
-        lines.append(f"  n{i} -> n{j};")
+    lines += map("  n{} -> n{};".format, lat.cover_from, lat.cover_to)
     # every chain from the bottom to an element has |H u W| steps, and the
     # elements are numbered by that size
     size = [(H | W).bit_count() for H, W in lat.masks]
@@ -223,12 +235,12 @@ def cmd_lattice(args) -> int:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(lattice_dot(lat))
     if args.json:
-        _emit(lattice_json(lat, properties=args.properties), (), True)
+        # the document is already its one line of text
+        _emit(None, [lattice_json(lat, properties=args.properties)], False)
         return EXIT_OK
     lines = [f"elements: {lat.n}",
-             f"covers: {len(lat.cover_list)}",
-             f"bottom covers: "
-             f"{sum(i == lat.bottom for i, _ in lat.cover_list)}"]
+             f"covers: {len(lat.cover_from)}",
+             f"bottom covers: {lat.cover_from.count(lat.bottom)}"]
     if args.properties:
         for key, val in lattice_properties(lat).items():
             if key != "elements":

@@ -15,45 +15,52 @@ from .graphs import CapExceeded, Digraph, bits
 from . import triples
 from .triples import WangTriple
 
-# A lattice keeps its covers as a list of pairs.  The laws of
-# `--properties` read n-bit rows of upper and lower covers, built when first
-# read (the order rows too, which no command reads), so memory grows as n
-# squared only there.  On the 39,936-element lattice of a 16-vertex DAG, on
-# a shared 2-core machine, `gislat lattice` takes 0.37–0.44 s at 53 MB
-# peak RSS, `--json` 0.50–0.64 s at 76 MB and `--json --properties`
-# 2.0–2.3 s at 328 MB; see CHANGES.md.
+# A lattice keeps its covers as two int columns, and `lattice --json` is
+# written from them as text.  The laws of `--properties` read n-bit rows
+# of upper and lower covers, built when first read (the order rows too,
+# which no command reads), so memory grows as n squared only there.  On
+# the 39,936-element lattice of a 16-vertex DAG, on a shared 2-core
+# machine, `gislat lattice` takes 0.23–0.24 s at 47 MB peak RSS, `--json`
+# 0.35–0.37 s at 60 MB, `--dot` 0.40–0.42 s at 96 MB and `--json
+# --properties` 1.50–1.57 s at 297 MB; see CHANGES.md.
 DEFAULT_LATTICE_CAP = 40_000
 
 
 class FiniteLattice:
     """A finite lattice given by its covers over elements 0..n-1.
 
-    covers lists every cover i -> j as the pair [i, j], in increasing
-    order of i and then j, so none twice; it is kept as cover_list, the
-    form the JSON document holds.  The elements must be numbered along a
-    linear extension, so every cover has i < j, and exactly one element
-    may lack a lower cover (the bottom, 0) and one an upper cover (the
-    top, n - 1).  The bitmask rows of upper and lower covers, cover_up
-    and cover_dn, and the reflexive order rows up and down are built
-    from the pairs when first read.  Joins and meets are left to
-    ConLattice, which reads them off the calculus's (H, W) core.
+    The covers are two parallel int columns: cover k is
+    cover_from[k] -> cover_to[k], listed in increasing order of the
+    source and then the target, so none twice.  The elements must be
+    numbered along a linear extension, so every cover has i < j, and
+    exactly one element may lack a lower cover (the bottom, 0) and one an
+    upper cover (the top, n - 1).  The bitmask rows of upper and lower
+    covers, cover_up and cover_dn, and the reflexive order rows up and
+    down are built from the columns when first read.  Joins and meets are
+    left to ConLattice, which reads them off the calculus's (H, W) core.
     """
 
-    def __init__(self, n, covers):
+    def __init__(self, n, cover_from, cover_to):
+        if len(cover_from) != len(cover_to):
+            raise ValueError("cover columns differ in length")
         self.n = n
-        self.cover_list = covers
-        has_lower = bytearray(n)
-        has_upper = bytearray(n)
-        for i, j in covers:
-            if not 0 <= i < j < n:
-                raise ValueError(f"cover {i} -> {j} does not follow a "
-                                 f"linear extension of 0..{n - 1}")
-            has_upper[i] = has_lower[j] = 1
-        if not all(map(lt, covers, islice(covers, 1, None))):
+        self.cover_from = cover_from
+        self.cover_to = cover_to
+        # each check is one pass over whole columns, with no step per cover
+        # in Python but the keys' arithmetic
+        if cover_from and (min(cover_from) < 0 or max(cover_to) >= n
+                           or not all(map(lt, cover_from, cover_to))):
+            raise ValueError("a cover does not follow a linear extension "
+                             f"of 0..{n - 1}")
+        # with 0 <= i < j < n, the key i * n + j orders the covers by
+        # (i, j), and strictly increasing keys list none twice
+        keys = [i * n + j for i, j in zip(cover_from, cover_to)]
+        if not all(map(lt, keys, islice(keys, 1, None))):
             raise ValueError("covers are listed out of order or twice")
         # along a linear extension 0 is minimal and n - 1 maximal, so they
-        # are the bottom and top when no other element is
-        if has_lower.count(0) != 1 or has_upper.count(0) != 1:
+        # are the bottom and top when every other element has a lower and
+        # an upper cover: no target is 0 and no source n - 1
+        if len(set(cover_to)) != n - 1 or len(set(cover_from)) != n - 1:
             raise ValueError("order has no unique bottom and top")
         self.bottom = 0
         self.top = n - 1
@@ -62,7 +69,7 @@ class FiniteLattice:
     def cover_up(self):
         """cover_up[i] is the bitmask of the upper covers of i."""
         cover_up = [0] * self.n
-        for i, j in self.cover_list:
+        for i, j in zip(self.cover_from, self.cover_to):
             cover_up[i] |= 1 << j
         return cover_up
 
@@ -70,7 +77,7 @@ class FiniteLattice:
     def cover_dn(self):
         """cover_dn[j] is the bitmask of the lower covers of j."""
         cover_dn = [0] * self.n
-        for i, j in self.cover_list:
+        for i, j in zip(self.cover_from, self.cover_to):
             cover_dn[j] |= 1 << i
         return cover_dn
 
@@ -79,7 +86,7 @@ class FiniteLattice:
         """up[i] is i with every element above it, closed in one pass from
         the last cover: the covers of j > i are listed after those of i."""
         up = [1 << i for i in range(self.n)]
-        for i, j in reversed(self.cover_list):
+        for i, j in zip(reversed(self.cover_from), reversed(self.cover_to)):
             up[i] |= up[j]
         return up
 
@@ -89,7 +96,7 @@ class FiniteLattice:
         from the first cover: a cover k -> i has k < i, so it is listed
         before the covers of i."""
         down = [1 << j for j in range(self.n)]
-        for i, j in self.cover_list:
+        for i, j in zip(self.cover_from, self.cover_to):
             down[j] |= down[i]
         return down
 
@@ -115,8 +122,8 @@ class ConLattice(FiniteLattice):
     outside the H* of U1 ∪ {v} it keeps at most one out-edge, and each
     vertex of W1 its one (or it would reach only U1 ∪ {v}): U1 ∪ {v} is a
     union.  So the upper covers are the unions that add one vertex, found
-    by lookup and kept as the pairs of cover_list, and every chain from
-    the bottom to t has |U| steps.
+    by lookup and kept in the two cover columns, and every chain from the
+    bottom to t has |U| steps.
 
     The elements are stored as masks[i] = (H, W), and by_union maps each
     union H | W to its index; leq_idx reads the order as inclusion of
@@ -164,15 +171,16 @@ class ConLattice(FiniteLattice):
         self.by_union = by_union = {u: i for i, u in enumerate(unions)}
         vertex_bits = [1 << v for v in range(graph.n)]
         # the unions one vertex larger than u share one level, numbered by
-        # value, and u | b grows with b: the pairs come out in order
-        covers = []
+        # value, and u | b grows with b: the covers come out in order
+        cover_from, cover_to = [], []
         for i, u in enumerate(unions):
             for b in vertex_bits:
                 if not u & b:
                     j = by_union.get(u | b)
                     if j is not None:
-                        covers.append([i, j])
-        super().__init__(len(unions), covers)
+                        cover_from.append(i)
+                        cover_to.append(j)
+        super().__init__(len(unions), cover_from, cover_to)
 
     @cached_property
     def elements(self):

@@ -43,17 +43,17 @@ def make_atomistic_example():
 
 def n5():
     """The pentagon: 0 < 1 < 4 against 0 < 2 < 3 < 4."""
-    return FiniteLattice(5, [[0, 1], [0, 2], [1, 4], [2, 3], [3, 4]])
+    return FiniteLattice(5, [0, 0, 1, 2, 3], [1, 2, 4, 3, 4])
 
 
 def m3():
     """The diamond: 0 < 1, 2, 3 < 4."""
-    return FiniteLattice(5, [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]])
+    return FiniteLattice(5, [0, 0, 0, 1, 2, 3], [1, 2, 3, 4, 4, 4])
 
 
 def chain(k):
     """The k-element chain 0 < 1 < ... < k - 1."""
-    return FiniteLattice(k, [[i, i + 1] for i in range(k - 1)])
+    return FiniteLattice(k, list(range(k - 1)), list(range(1, k)))
 
 
 def brute_force_type_congruences(g):

@@ -24,8 +24,9 @@ triple order and cover shapes over every cycle of the graph, which reading
 the stored cycle values replaced; the H-growing cover shape there also
 walks every hereditary set between H1 and H2, the interval enumeration
 the library dropped for a closure on H2 \\ H1 and kept only here as the
-reference.  Last come the lattice's JSON and DOT rendered from its
-triples, which rendering from the (H, W) masks replaced.
+reference.  Last come the lattice's JSON document built as a dict and
+its DOT, rendered from its triples, which writing the text from the
+(H, W) masks and the cover columns replaced.
 They are slow and only serve as ground truth.  The join and meet read off
 the order rows up and down, row_join and row_meet, live here too: the
 library has joins and meets on ConLattice only, from the calculus's
@@ -82,8 +83,15 @@ def transitive_reduction(up):
 
 def cover_pairs(cover_up):
     """The covers [i, j] of cover rows, such as transitive_reduction's, in
-    order of i and then j: the form FiniteLattice takes."""
+    order of i and then j: the form the JSON document lists."""
     return [[i, j] for i, row in enumerate(cover_up) for j in bits(row)]
+
+
+def cover_columns(cover_up):
+    """cover_pairs as the two columns FiniteLattice takes: the sources and
+    the targets."""
+    pairs = cover_pairs(cover_up)
+    return [i for i, _ in pairs], [j for _, j in pairs]
 
 
 def _bound(common, rows) -> int:
@@ -612,13 +620,17 @@ def cover_kind_by_scan(t1, t2):
 
 # -- the lattice rendered from its triples -------------------------------------
 #
-# cli.lattice_json and cli.lattice_dot read each element's (H, W) masks and
-# name each mask once.  These build every triple and render it by itself,
-# and list the covers bit by bit from the rows.
+# cli.lattice_json writes the document as text, and it and cli.lattice_dot
+# read each element's (H, W) masks, name each mask once and list the covers
+# from the two cover columns.  These build the document as a dict, render
+# every triple by itself, and list the covers bit by bit from the rows.
 
 
 def lattice_json_by_triples(lat, properties=False):
-    """Test oracle for cli.lattice_json: each element through triple_json."""
+    """Test oracle for cli.lattice_json: the document as a dict, each
+    element through triple_json.  lattice_json must give the bytes of
+    json.dumps(doc, check_circular=False), as `lattice --json` printed
+    when it built this dict."""
     doc = {"format": JSON_FORMAT}
     doc.update(graph_json(lat.graph))
     doc["elements"] = [triple_json(t) for t in lat.elements]

@@ -1,5 +1,5 @@
-"""The oracle and census benchmarks as smoke tests: one short run of
-bench/run.py checks every output of the workload against
+"""The oracle, census and lattice benchmarks as smoke tests: one short
+run of bench/run.py checks every output of the workload against
 bench/reference.py, so the benchmark's reference checks run with the
 tests."""
 
@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["oracle", "census"])
+@pytest.mark.parametrize("workload", ["oracle", "census", "lattice"])
 def test_benchmark_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"),

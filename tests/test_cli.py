@@ -116,6 +116,11 @@ def test_parse_error_column_after_keyword(capsys, monkeypatch):
     with pytest.raises(GraphParseError) as err:
         parse_graph_text("vertex e\nedge e e e\n")
     assert (err.value.line, err.value.column) == (2, 1)
+    # a repeated vertex is reported at its name, not at the keyword
+    with pytest.raises(GraphParseError) as err:
+        parse_graph_text("vertex a\nvertex a\n")
+    assert (err.value.line, err.value.column) == (2, 8)
+    assert str(err.value) == "line 2, column 8: duplicate vertex 'a'"
     monkeypatch.setattr("sys.stdin", io.StringIO("vertex x\nedge e x\n"))
     assert main(["check", "-"]) == 2
     assert "line 2, column 6: unknown vertex 'e'" in capsys.readouterr().err
@@ -150,7 +155,7 @@ def test_lattice_dot(tmp_path):
         lat = enumerate_lattice(g)
         dot = lattice_dot(lat)
         assert dot.count("[label=") == lat.n
-        assert dot.count(" -> ") == len(lat.cover_list)
+        assert dot.count(" -> ") == len(lat.cover_from)
         longest = [0] * lat.n
         for i in range(lat.n):
             for j in bits(lat.cover_up[i]):
@@ -316,17 +321,39 @@ def test_lattice_cap_caches_no_partial_hereditary_list():
     assert len(g.hereditary_sets()) == 6
 
 
-def test_rendering_from_masks_matches_rendering_from_triples():
+# names that json.dumps escapes (a quote, a backslash, a control character)
+# or writes as \u escapes (é, 日本), and that DOT escapes (quote, backslash)
+ESCAPED_NAMES = Digraph(['a"b', "c\\d", "é", "日本", "\x01"],
+                        [(0, 1), (1, 2), (0, 3), (3, 4)])
+
+
+def test_rendering_from_masks_matches_rendering_from_triples(tmp_path,
+                                                             capsys):
+    """`lattice --json`, with and without --properties, prints the bytes
+    json.dumps gives for the document built as a dict from the triples,
+    and --dot writes the DOT rendered from the triples."""
     graphs_ = (connected_simple_graphs(5) + acyclic_multigraphs(4, 5)
-               + [make_split_graph()])
+               + [make_split_graph(), ESCAPED_NAMES])
     assert any(g.has_parallel_edges() for g in graphs_)
+    path = tmp_path / "g.graph"
+    dot = tmp_path / "g.dot"
     for g in graphs_:
+        path.write_text(format_graph(g), encoding="utf-8")
         lat = enumerate_lattice(g)
         for properties in (False, True):
-            assert json.dumps(lattice_json(lat, properties),
-                              check_circular=False) == \
-                json.dumps(oracles.lattice_json_by_triples(lat, properties))
-        assert lattice_dot(lat) == oracles.lattice_dot_by_triples(lat)
+            argv = ["lattice", str(path), "--json"]
+            assert main(argv + ["--properties"] * properties) == 0
+            doc = oracles.lattice_json_by_triples(lat, properties)
+            assert capsys.readouterr() == (
+                json.dumps(doc, check_circular=False) + "\n", ""), g
+        assert main(["lattice", str(path), "--dot", str(dot)]) == 0
+        capsys.readouterr()
+        assert dot.read_text(encoding="utf-8") == \
+            oracles.lattice_dot_by_triples(lat), g
+    # the top element names every vertex, each escaped as json.dumps does
+    text = lattice_json(enumerate_lattice(ESCAPED_NAMES))
+    assert ('{"H": ["a\\"b", "c\\\\d", "\\u00e9", "\\u65e5\\u672c", '
+            '"\\u0001"], "W": []}], "covers"') in text
 
 
 def test_dot_labels_escape_quotes_and_backslashes(tmp_path):
@@ -391,8 +418,8 @@ def test_lattice_command_builds_no_triple(tmp_path, monkeypatch, capsys):
 
 
 def test_lattice_builds_no_cover_rows(tmp_path, monkeypatch, capsys):
-    """Plain `lattice` and `lattice --json --dot` read the list of covers
-    and build neither n-bit row of covers."""
+    """Plain `lattice` and `lattice --json --dot` read the two cover
+    columns and build neither n-bit row of covers."""
     built = []
     build = cli.enumerate_lattice
 
@@ -428,7 +455,7 @@ def test_cmd_lattice_chord11_properties(tmp_path, capsys):
     # the cubic modular and distributive oracles are out of reach at this
     # size; a distributive lattice is modular
     lat = enumerate_lattice(chord11)
-    order = FiniteLattice(lat.n, oracles.cover_pairs(
+    order = FiniteLattice(lat.n, *oracles.cover_columns(
         oracles.transitive_reduction(oracles.all_pairs_order(lat.elements))))
     assert oracles.upper_semimodular(order)
     assert oracles.lower_semimodular(order)

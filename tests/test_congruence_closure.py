@@ -499,8 +499,9 @@ def test_verify_isomorphism_reports_a_dropped_cover(monkeypatch):
     mismatch."""
     g = make_split_graph()
     lat = oracle.enumerate_lattice(g)
-    assert lat.cover_list[-1] == [12, 13]
-    lat.cover_list = lat.cover_list[:-1]
+    assert (lat.cover_from[-1], lat.cover_to[-1]) == (12, 13)
+    lat.cover_from = lat.cover_from[:-1]
+    lat.cover_to = lat.cover_to[:-1]
     serve(monkeypatch, lat)
     report = verify_isomorphism(g)
     bcd, top = "({b,c,d}, {}, ∅)", "({a,b,c,d}, {}, ∅)"

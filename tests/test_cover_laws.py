@@ -63,7 +63,7 @@ def product(lat1, lat2):
                 for b2 in bits(lat2.up[b]):
                     row |= 1 << (a2 * m + b2)
             up.append(row)
-    return FiniteLattice(len(up), oracles.cover_pairs(
+    return FiniteLattice(len(up), *oracles.cover_columns(
         oracles.transitive_reduction(up)))
 
 
@@ -87,7 +87,7 @@ def random_family_order(rnd, max_points=5):
 
 def random_family_lattice(rnd, max_points=5):
     up = random_family_order(rnd, max_points)
-    return FiniteLattice(len(up), oracles.cover_pairs(
+    return FiniteLattice(len(up), *oracles.cover_columns(
         oracles.transitive_reduction(up)))
 
 
@@ -105,7 +105,8 @@ def test_up_rows_equal_all_pairs_order():
         up = oracles.all_pairs_order(lat.elements)
         assert lat.up == up, g
         reduction = oracles.transitive_reduction(up)
-        assert lat.cover_list == oracles.cover_pairs(reduction), g
+        assert (lat.cover_from, lat.cover_to) == \
+            oracles.cover_columns(reduction), g
         assert lat.cover_up == reduction, g
         for i in range(lat.n):
             assert lat.down[i] == sum(1 << j for j in range(lat.n)
@@ -127,7 +128,7 @@ def test_generic_covers_and_down_rows():
     for _ in range(200):
         up = random_family_order(rnd)
         reduction = oracles.transitive_reduction(up)
-        lat = FiniteLattice(len(up), oracles.cover_pairs(reduction))
+        lat = FiniteLattice(len(up), *oracles.cover_columns(reduction))
         assert lat.up == up
         assert lat.cover_up == reduction
         for i in range(lat.n):
@@ -138,28 +139,40 @@ def test_generic_covers_and_down_rows():
 
 
 def test_constructor_rejects_covers_against_the_numbering():
-    for n, covers in ((1, [[0, 0]]),                # 0 covers itself
-                      (2, [[0, 1], [1, 1]]),        # 1 covers itself
-                      (2, [[0, 1], [1, 0]]),        # 0 and 1 cover each other
-                      (3, [[0, 1], [0, 2], [1, 0]]),  # 0 covers 1
-                      (3, [[0, 2], [2, 1]]),        # the chain 0 < 2 < 1
-                      (2, [[0, 2]]),                # a cover beyond the elements
-                      (2, [[0, 1], [0, 1]]),        # a cover listed twice
-                      (4, [[0, 2], [0, 1], [1, 3], [2, 3]])):  # out of order
+    # (n, sources, targets): cover k is sources[k] -> targets[k]
+    for n, cover_from, cover_to in (
+            (1, [0], [0]),                    # 0 covers itself
+            (2, [0, 1], [1, 1]),              # 1 covers itself
+            (2, [0, 1], [1, 0]),              # 0 and 1 cover each other
+            (3, [0, 0, 1], [1, 2, 0]),        # 0 covers 1
+            (3, [0, 2], [2, 1]),              # the chain 0 < 2 < 1
+            (2, [0], [2]),                    # a cover beyond the elements
+            (2, [-1, 0], [0, 1]),             # a cover below the elements
+            (2, [0, 0], [1, 1]),              # a cover listed twice
+            (4, [0, 0, 1, 2], [2, 1, 3, 3]),  # out of order
+            (4, [0, 1, 0, 2], [1, 3, 2, 3]),  # sources out of order
+            (3, [0, 1], [1]),                 # a source with no target
+            (3, [0], [1, 2]),                 # a target with no source
+            (1, [], [0])):                    # an empty source column
         with pytest.raises(ValueError):
-            FiniteLattice(n, covers)
+            FiniteLattice(n, cover_from, cover_to)
 
 
 def test_constructor_rejects_two_minimal_or_maximal_elements():
-    for n, covers in ((0, []),
-                      (2, []),                      # two minimal and two maximal
-                      (3, [[0, 2], [1, 2]]),        # two minimal
-                      (3, [[0, 1], [0, 2]]),        # two maximal
-                      (4, [[0, 2], [1, 3], [2, 3]])):
+    for n, cover_from, cover_to in (
+            (0, [], []),
+            (2, [], []),                      # two minimal and two maximal
+            (3, [0, 1], [2, 2]),              # two minimal
+            (3, [0, 0], [1, 2]),              # two maximal
+            (4, [0, 1, 2], [2, 3, 3])):
         with pytest.raises(ValueError):
-            FiniteLattice(n, covers)
-    lat = FiniteLattice(4, [[0, 1], [0, 2], [1, 3], [2, 3]])
+            FiniteLattice(n, cover_from, cover_to)
+    lat = FiniteLattice(4, [0, 0, 1, 2], [1, 2, 3, 3])
     assert (lat.bottom, lat.top) == (0, 3)
+    one = FiniteLattice(1, [], [])
+    assert (one.bottom, one.top) == (0, 0)
+    assert one.up == one.down == [1]
+    assert one.cover_up == one.cover_dn == [0]
 
 
 def test_order_rows_are_built_only_when_read():

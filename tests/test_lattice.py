@@ -72,7 +72,8 @@ def test_covers_match_transitive_reduction():
     for g in connected_simple_graphs(4):
         lat = enumerate_lattice(g)
         reduction = oracles.transitive_reduction(lat.up)
-        assert lat.cover_list == oracles.cover_pairs(reduction)
+        assert (lat.cover_from, lat.cover_to) == \
+            oracles.cover_columns(reduction)
         assert lat.cover_up == reduction
 
 

@@ -94,7 +94,8 @@ def corrupted_lattices():
     comparable pair's order bit flipped in the up row of either element."""
     g = make_split_graph()
     dropped = enumerate_lattice(g)
-    dropped.cover_list = dropped.cover_list[:-1]
+    dropped.cover_from = dropped.cover_from[:-1]
+    dropped.cover_to = dropped.cover_to[:-1]
     out = [dropped]
     for i, j in ((0, 1), (1, 0)):
         lat = enumerate_lattice(g)
