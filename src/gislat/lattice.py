@@ -364,7 +364,7 @@ def predicate_atomistic(graph: Digraph) -> bool:
         if one >> v & 1:
             if graph.reach[succ.bit_length() - 1] >> v & 1:
                 return False
-            if not graph.reach[v] & ~(1 << v) & ~one:
+            if not graph.reach[v] & ~one:
                 return False
         else:
             if not all(graph.geq(r, v) for r in bits(succ)):

@@ -3,9 +3,10 @@ semigroup built from the axioms, exhaustive congruence enumeration, and the
 order-isomorphism check against the triple lattice.
 
 Elements are None (zero) or a pair of paths (p, q) with equal range, a path
-being (start vertex, tuple of edge ids).  Congruences are canonical label
-tuples: position i holds the block of element i, blocks numbered by first
-appearance.
+being (start vertex, tuple of edge ids).  Congruences are root tuples:
+position i holds the least member of the block of element i, so two
+elements share a block iff their entries are equal, and each partition has
+one root tuple.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from .lattice import enumerate_lattice
 DEFAULT_ELEMENT_CAP = 400
 # Bounds the isomorphism check, which checks the calculus's (H, W) join and
 # meet on all n(n + 1)/2 pairs of the n congruences.  On a shared 2-core
-# machine `gislat oracle` takes 2.5–5 s on the graphs with 2,048
+# machine `gislat oracle` takes 2.3–3.8 s on the graphs with 2,048
 # congruences tried under the default element cap (11 isolated vertices
-# 2.5–2.9 s, 5 disjoint edges and a vertex 3.0–3.2 s, the 9-vertex path
-# with two isolated vertices 3.6 s and the 10-vertex path with one
-# 3.8–5.0 s; 2 runs each, wall time of a subprocess, at 20–35 MB).
+# 2.3–2.7 s, 5 disjoint edges and a vertex 2.4–2.5 s, the 9-vertex path
+# with two isolated vertices 3.0–3.1 s and the 10-vertex path with one
+# 3.7–3.8 s; 2 runs each, wall time of a subprocess, at 20–28 MB).
 CONGRUENCE_CAP = 2048
 
 
@@ -235,10 +236,11 @@ def associativity_violations(table: MulTable):
     return bad
 
 
-# -- congruences as canonical partitions ---------------------------------------
+# -- congruences as root tuples -------------------------------------------------
 #
 # A partition in the making is a union-find parent list in which every class
-# hangs under its least member, so parent[i] <= i throughout.
+# hangs under its least member, so parent[i] <= i throughout.  A root tuple
+# is such a list with every parent a root.
 
 
 def _merge(parent, work, trans=None):
@@ -264,19 +266,13 @@ def _merge(parent, work, trans=None):
                     work.append((x, y))
 
 
-def _canon(parent):
-    """Canonical labels of a parent list: a root, being the least member of
-    its class, is where the class first appears, and every other element
-    takes the label of its parent, which comes earlier."""
-    labels = []
-    count = 0
+def _roots(parent):
+    """The root tuple of a parent list, pointing every entry at its root in
+    place: every parent has a lower index than its child, so it points at
+    its root by the time the child reads it."""
     for i, p in enumerate(parent):
-        if p == i:
-            labels.append(count)
-            count += 1
-        else:
-            labels.append(labels[p])
-    return tuple(labels)
+        parent[i] = parent[p]
+    return tuple(parent)
 
 
 def generated_congruence(table: MulTable, pairs):
@@ -295,7 +291,7 @@ def generated_congruence(table: MulTable, pairs):
     steps over the same pairs, must match."""
     parent = list(range(len(table)))
     _merge(parent, list(pairs), table.trans)
-    return _canon(parent)
+    return _roots(parent)
 
 
 class ClosureStore:
@@ -304,15 +300,14 @@ class ClosureStore:
     principal_congruences, join_irreducible_congruences,
     enumerate_congruences and realize_triple all close through it.
 
-    congs[c] is a congruence as canonical labels, congs[0] the diagonal,
-    and index maps the labels back to c; blocks[c] counts its blocks and
-    roots[c] maps each element to the least member of its block, a parent
-    list in which every class hangs under its root.  step(c, x, y) is the
-    least congruence above congs[c] that relates x and y:
+    congs[c] is a congruence as a root tuple, congs[0] the diagonal, and
+    index maps the tuple back to c.  A root tuple is a parent list in which
+    every class hangs under its root, so step(c, x, y), the least
+    congruence above congs[c] that relates x and y, starts from a copy:
 
     1. congs[c] is a congruence, so its pairs need no translations queued:
-       the closure over generators started from its roots with the pair
-       (x, y) ends at the least congruence above both.
+       the closure over generators started from its root tuple with the
+       pair (x, y) ends at the least congruence above both.
     2. That congruence relates every x' in x's block of congs[c] with
        every y' in y's, and the other way round, so it depends on c and
        those two blocks only; each step is remembered in above under c
@@ -330,14 +325,14 @@ class ClosureStore:
         self.trans = table.trans
         self.n = n = len(table)
         diagonal = tuple(range(n))
-        self.congs, self.blocks, self.roots = [diagonal], [n], [list(diagonal)]
+        self.congs = [diagonal]
         self.index = {diagonal: 0}
         self.above = {}
         self.principal = None
 
     def step(self, c, x, y):
         """The index of the least congruence above congs[c] relating x and y."""
-        root = self.roots[c]
+        root = self.congs[c]
         a, b = root[x], root[y]
         if a == b:
             return c
@@ -348,25 +343,19 @@ class ClosureStore:
         key = (c, a, b)
         got = self.above.get(key)
         if got is None:
-            parent = root[:]
+            parent = list(root)
             _merge(parent, [(x, y)], self.trans)
             got = self.above[key] = self._add(parent)
         return got
 
     def _add(self, parent):
         """The index of the congruence of a parent list, registered when it
-        is new, with the parent list made its roots: every parent has a
-        lower index than its child, so it points at its root by the time
-        the child reads it."""
-        labels = _canon(parent)
-        got = self.index.get(labels)
+        is new."""
+        root = _roots(parent)
+        got = self.index.get(root)
         if got is None:
-            for i, p in enumerate(parent):
-                parent[i] = parent[p]
-            got = self.index[labels] = len(self.congs)
-            self.congs.append(labels)
-            self.blocks.append(max(labels) + 1)
-            self.roots.append(parent)
+            got = self.index[root] = len(self.congs)
+            self.congs.append(root)
         return got
 
 
@@ -383,10 +372,10 @@ def principal_congruences(table: MulTable):
     the stack, which closes a cycle of the graph, is passed over, and a
     closed one with congruence theta ends the pair when theta relates x
     and y.  Only when none does is the pair closed, in postorder, by one
-    step of the table's closure store from the closed translate with the
-    fewest blocks, or from the diagonal when there is none.  Each pair
-    that ends also ends its inverse pair {x*, y*} when that is not yet
-    visited.  This is sound:
+    step of the table's closure store from the first closed translate, or
+    from the diagonal when there is none.  Each pair that ends also ends
+    its inverse pair {x*, y*} when that is not yet visited.  This is
+    sound:
 
     1. A translate (s x t, s y t) lies in Cg(x, y), so Cg(s x t, s y t),
        and with it theta, lies below Cg(x, y).
@@ -424,7 +413,7 @@ def _principal_pairs(table: MulTable, store: ClosureStore):
     m = len(trans[0])
     idx = table.index
     inv = [idx[inverse(x)] for x in table.elements]
-    roots, blocks = store.roots, store.blocks
+    congs = store.congs
     # state[x * n + y], x < y: 0 before the visit, -1 on the stack, then the
     # index of Cg(x, y) in the store, whose entry 0 is the diagonal
     state = [0] * (n * n)
@@ -433,11 +422,12 @@ def _principal_pairs(table: MulTable, store: ClosureStore):
             if state[x0 * n + y0]:
                 continue
             state[x0 * n + y0] = -1
-            # a frame is [x, y, the translate to read next, best so far]
+            # a frame is [x, y, the translate to read next, the first closed
+            # translate's index or 0]
             stack = [[x0, y0, 0, 0]]
             while stack:
                 frame = stack[-1]
-                x, y, pos, best = frame
+                x, y, pos, seed = frame
                 tx, ty = trans[x], trans[y]
                 theta = 0
                 for pos in range(pos, m):
@@ -447,21 +437,21 @@ def _principal_pairs(table: MulTable, store: ClosureStore):
                     s = a * n + b if a < b else b * n + a
                     c = state[s]
                     if c > 0:
-                        root = roots[c]
+                        root = congs[c]
                         if root[x] == root[y]:
                             theta = c
                             break
-                        if blocks[c] < blocks[best]:
-                            best = c
+                        if not seed:
+                            seed = c
                     elif not c:
                         # read this translate again once it is closed
                         frame[2] = pos
-                        frame[3] = best
+                        frame[3] = seed
                         state[s] = -1
                         stack.append([a, b, 0, 0] if a < b else [b, a, 0, 0])
                         break
                 else:
-                    theta = store.step(best, x, y)
+                    theta = store.step(seed, x, y)
                 if theta:
                     stack.pop()
                     state[x * n + y] = theta
@@ -472,20 +462,15 @@ def _principal_pairs(table: MulTable, store: ClosureStore):
     return state
 
 
-def partition_join(l1, l2):
-    """Least partition above two canonical label tuples, as canonical
-    labels: a union-find over the blocks of l1 (0 .. k-1) and of l2
-    (k, k+1, ...) that links the two blocks of every element.  Each class
-    then hangs under its least block of l1, so the first k parents are a
-    parent list of their own, over the blocks of l1 in order of first
-    appearance.  The oracle joins congruences in the closure store; this
-    join of any two partitions is the direct one that the tests'
-    reference enumerations use, and bench/tracer.py wraps it by name."""
-    k = max(l1, default=-1) + 1
-    parent = list(range(k + max(l2, default=-1) + 1))
-    _merge(parent, [(a, k + b) for a, b in set(zip(l1, l2))])
-    labels = _canon(parent[:k])
-    return tuple(map(labels.__getitem__, l1))
+def partition_join(r1, r2):
+    """Least partition above two root tuples, as a root tuple: r1 is a
+    parent list already, and merging each i with r2[i] adds the blocks of
+    r2.  The oracle joins congruences in the closure store; this join of
+    any two partitions is the direct one that the tests' reference
+    enumerations use, and bench/tracer.py wraps it by name."""
+    parent = list(r1)
+    _merge(parent, list(enumerate(r2)))
+    return _roots(parent)
 
 
 def join_irreducible_congruences(table: MulTable, principals):
@@ -513,14 +498,14 @@ def join_irreducible_congruences(table: MulTable, principals):
     calculus it checks; this is Freese's method (R. Freese, Computing
     congruences efficiently, Algebra Universalis 59, 2008)."""
     store = table.closures
-    roots = store.roots
+    congs = store.congs
     out = {}
     for q, (x, y) in principals.items():
         below = 0
         for p, (a, b) in principals.items():
             if q[a] == q[b] and p != q:
                 below = store.step(below, a, b)
-                root = roots[below]
+                root = congs[below]
                 if root[x] == root[y]:
                     break
         else:
@@ -561,13 +546,13 @@ def enumerate_congruences(table: MulTable):
         raise CapExceeded("congruences", len(principals) + 1, cap)
     irreducibles = join_irreducible_congruences(table, principals)
     store = table.closures
-    roots = store.roots
+    congs = store.congs
     pairs = list(irreducibles.values())
     by_mask = {}  # a set of join-irreducibles, as bits, -> their join
 
     def mask(c):
         """D(congs[c]), with congs[c] remembered under it."""
-        root = roots[c]
+        root = congs[c]
         d = 0
         for i, (x, y) in enumerate(pairs):
             if root[x] == root[y]:
@@ -596,7 +581,7 @@ def enumerate_congruences(table: MulTable):
             if j not in found:
                 found[j] = mask(j)
                 frontier.append(j)
-    return sorted(map(store.congs.__getitem__, found))
+    return sorted(map(congs.__getitem__, found))
 
 
 def seed_pairs(t, table: MulTable):

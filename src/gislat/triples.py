@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 
 from .graphs import Digraph, bits
 
@@ -68,10 +69,11 @@ class WangTriple:
     """An (H, W, f) triple on a fixed graph, validated at construction;
     results the calculus proves valid are built unchecked by _proved.
 
-    f is given as a mapping (or pair iterable) from canonical cycles to
-    values; only finite values on cycles through W are stored, every other
-    value being forced.  Instances are immutable, hashable, and compare
-    equal exactly when all three components agree on the same graph.
+    f is given as a mapping (or pair iterable) from canonical cycles, each
+    a sequence of edge ids, to values; a cycle given twice is a ValueError.
+    Only finite values on cycles through W are stored, every other value
+    being forced.  Instances are immutable, hashable, and compare equal
+    exactly when all three components agree on the same graph.
     """
 
     __slots__ = ("graph", "H", "W", "f", "_fmap", "_hash")
@@ -89,8 +91,12 @@ class WangTriple:
             raise ValueError(f"vertex {graph.names[w]!r} does not have "
                              f"exactly one out-edge surviving H")
         store = {}
-        for c, val in dict(f).items():
+        seen = set()
+        for c, val in f.items() if isinstance(f, Mapping) else f:
             c = tuple(c)
+            if c in seen:
+                raise ValueError(f"cycle {c!r} given twice")
+            seen.add(c)
             # a bool is an int, but no cycle value
             if val != INF and (isinstance(val, bool)
                                or not (isinstance(val, int) and val >= 1)):

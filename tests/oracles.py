@@ -338,7 +338,8 @@ def all_triples_violations(rows):
 def all_translations_closure(table, pairs, cols=None):
     """Test oracle: the least congruence containing the pairs, closing each
     merge of two classes under left and right translation by every element
-    of the semigroup.  cols, the transposed table, may be passed in."""
+    of the semigroup, as a root tuple.  cols, the transposed table, may be
+    passed in."""
     rows = table.rows
     if cols is None:
         cols = [list(col) for col in zip(*rows)]
@@ -359,8 +360,7 @@ def all_translations_closure(table, pairs, cols=None):
         parent[max(a, b)] = min(a, b)
         work.extend((x, y) for x, y in zip(cols[a], cols[b]) if x != y)
         work.extend((x, y) for x, y in zip(rows[a], rows[b]) if x != y)
-    seen = {}
-    return tuple(seen.setdefault(find(i), len(seen)) for i in range(len(table)))
+    return tuple(find(i) for i in range(len(table)))
 
 
 def inverses(table):
@@ -385,9 +385,9 @@ def principal_congruences_from_scratch(table):
 
 
 def join_partitions(l1, l2):
-    """Test oracle: the least partition above two label tuples, giving each
-    element the least index of its class by relaxing over the blocks of
-    both until nothing changes."""
+    """Test oracle: the least partition above two partitions, given by any
+    labels, as a root tuple: each element gets the least index of its class
+    by relaxing over the blocks of both until nothing changes."""
     least = list(range(len(l1)))
     changed = True
     while changed:
@@ -401,15 +401,16 @@ def join_partitions(l1, l2):
                 if least[i] != low[block]:
                     least[i] = low[block]
                     changed = True
-    seen = {}
-    return tuple(seen.setdefault(r, len(seen)) for r in least)
+    return tuple(least)
 
 
 def partition_meet(l1, l2):
-    """Test oracle: the common refinement of two label tuples, as canonical
-    labels: the distinct label pairs in order of first appearance."""
-    index = {pair: i for i, pair in enumerate(dict.fromkeys(zip(l1, l2)))}
-    return tuple(map(index.__getitem__, zip(l1, l2)))
+    """Test oracle: the common refinement of two partitions, given by any
+    labels, as a root tuple: each element maps to the first element with
+    its pair of labels."""
+    first = {}
+    return tuple(first.setdefault(pair, i)
+                 for i, pair in enumerate(zip(l1, l2)))
 
 
 def refines(l1, l2) -> bool:

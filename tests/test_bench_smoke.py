@@ -1,5 +1,5 @@
-"""The oracle, census and lattice benchmarks as smoke tests: one short
-run of bench/run.py checks every output of the workload against
+"""The four benchmark workloads as smoke tests: one short run of
+bench/run.py checks every output of the workload against
 bench/reference.py, so the benchmark's reference checks run with the
 tests."""
 
@@ -13,7 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["oracle", "census", "lattice"])
+@pytest.mark.parametrize("workload", ["oracle", "census", "lattice",
+                                      "pointwise"])
 def test_benchmark_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"),

@@ -245,6 +245,27 @@ def test_enumerate_congruences_matches_joins_with_every_principal(tables):
             oracles.joins_with_every_principal(table), table.graph
 
 
+def test_store_keeps_one_root_tuple_per_partition(tables):
+    """Once enumerate_congruences and realize_triple have filled it, every
+    congruence in a closure store is the root tuple of its partition, entry
+    i the least member of i's block, and index names each partition once,
+    at its place in congs."""
+    for table in tables:
+        enumerate_congruences(table)
+        for t in oracle.enumerate_lattice(table.graph).elements:
+            oracle.realize_triple(t, table)
+        store = table.closures
+        partitions = set()
+        for root in store.congs:
+            blocks = {}
+            for i, r in enumerate(root):
+                blocks.setdefault(r, []).append(i)
+            assert all(r == min(block) for r, block in blocks.items())
+            partitions.add(frozenset(map(tuple, blocks.values())))
+        assert len(partitions) == len(store.index) == len(store.congs)
+        assert all(store.congs[c] == root for root, c in store.index.items())
+
+
 def test_join_irreducible_congruences_are_the_lattice_ones(sweep):
     """The principal congruences kept as join-irreducible are exactly the
     congruences that the join-irreducible triples realize, each with the
@@ -296,18 +317,19 @@ def test_enumerate_congruences_matches_found_by_found(sweep):
     assert congs == oracles.all_pairs_congruences(table)
 
 
-def random_labels(rnd, n, blocks):
-    seen = {}
-    return tuple(seen.setdefault(rnd.randrange(blocks), len(seen))
-                 for _ in range(n))
+def random_roots(rnd, n, blocks):
+    """A random partition of range(n) into at most blocks blocks, as a root
+    tuple."""
+    first = {}
+    return tuple(first.setdefault(rnd.randrange(blocks), i) for i in range(n))
 
 
 def test_partition_join_and_meet():
     rnd = random.Random(7)
     for _ in range(500):
         n = rnd.randint(1, 12)
-        l1 = random_labels(rnd, n, rnd.randint(1, n))
-        l2 = random_labels(rnd, n, rnd.randint(1, n))
+        l1 = random_roots(rnd, n, rnd.randint(1, n))
+        l2 = random_roots(rnd, n, rnd.randint(1, n))
         assert partition_join(l1, l2) == oracles.join_partitions(l1, l2)
         meet = oracles.partition_meet(l1, l2)
         assert meet == oracles.join_partitions(meet, meet)  # canonical
@@ -531,7 +553,7 @@ def split_lattice():
     g = make_split_graph()
     table = build_semigroup(g)
     lat = oracle.enumerate_lattice(g)
-    blocks = [max(oracle.realize_triple(t, table)) + 1 for t in lat.elements]
+    blocks = [len(set(oracle.realize_triple(t, table))) for t in lat.elements]
     return g, lat, blocks
 
 

@@ -107,11 +107,11 @@ def test_congruences_are_compatible_and_closed(path3):
 
 
 def test_partition_helpers():
-    assert partition_join((0, 1, 2), (0, 0, 1)) == (0, 0, 1)
-    assert partition_join((0, 0, 1), (0, 1, 1)) == (0, 0, 0)
-    assert partition_meet((0, 0, 1), (0, 1, 1)) == (0, 1, 2)
-    assert refines((0, 1, 2), (0, 0, 1))
-    assert not refines((0, 0, 1), (0, 1, 2))
+    assert partition_join((0, 1, 2), (0, 0, 2)) == (0, 0, 2)
+    assert partition_join((0, 0, 2), (0, 1, 1)) == (0, 0, 0)
+    assert partition_meet((0, 0, 2), (0, 1, 1)) == (0, 1, 2)
+    assert refines((0, 1, 2), (0, 0, 2))
+    assert not refines((0, 0, 2), (0, 1, 2))
 
 
 def test_realize_triple_split_graph(split_graph):

@@ -8,7 +8,7 @@ import pytest
 
 from gislat import cli, triples
 
-from conftest import make_loop, make_split_graph
+from conftest import make_loop, make_path3, make_split_graph
 
 
 @pytest.fixture
@@ -61,3 +61,20 @@ def test_traced_calculus_counts_cycles(Tracer):
     assert tracer.calls["triples.join"] == tracer.calls["triples.covers"] == 1
     assert tracer.counts["graphs.cycles.cycles"] == 1
     assert tracer.counts["graphs.cycles_in.scanned"] == 2
+
+
+def test_traced_oracle_run_counts(Tracer, tmp_path, capsys):
+    """The tracer's oracle hooks still read what the oracle returns: on the
+    3-vertex path, 6 distinct principal congruences, 8 congruences and one
+    realize_triple call for each of the lattice's 8 triples."""
+    path = tmp_path / "path3.graph"
+    path.write_text(cli.format_graph(make_path3()))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["oracle", str(path), "--json"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["oracle.principal_congruences.distinct"] == 6
+    assert tracer.counts["oracle.congruences"] == 8
+    assert tracer.calls["oracle.realize_triple"] == 8

@@ -62,12 +62,19 @@ def test_validate(split_graph, loop):
 def test_validate_rejects_bad_f(loop):
     with pytest.raises(ValueError):
         WangTriple(loop, 1, 0, {(0,): 6})  # cycle inside H must map to 1
+    with pytest.raises(ValueError, match="cycles inside H must map to 1"):
+        WangTriple(loop, 1, 0, {(0,): INF})
     with pytest.raises(ValueError):
         WangTriple(loop, 0, 0, {(0,): 6})  # cycle outside H u W must map to INF
     with pytest.raises(ValueError):
         WangTriple(loop, 0, 1, {(0,): 0})
     with pytest.raises(ValueError):
         WangTriple(loop, 0, 1, {(1, 2): 3})
+    # the pair form: each cycle is made a tuple before it is keyed, and a
+    # cycle given twice is named rather than the last value kept
+    assert WangTriple(loop, 0, 1, [([0], 6)]) == WangTriple(loop, 0, 1, {(0,): 6})
+    with pytest.raises(ValueError, match=re.escape("cycle (0,) given twice")):
+        WangTriple(loop, 0, 1, [((0,), 6), ((0,), 1)])
 
 
 def test_unknown_cycles_are_value_errors(split_graph, loop):
