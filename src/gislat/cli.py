@@ -13,8 +13,9 @@ import json
 import re
 import sys
 from functools import cache
-from itertools import groupby
+from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
+from operator import add
 
 from .graphs import CapExceeded, Digraph, bits
 from . import lattice as _lattice
@@ -25,6 +26,8 @@ from .triples import WangTriple, atoms
 
 JSON_FORMAT = 1
 CENSUS_BOUND_DEFAULT = 5
+# the strings of one JSON list or DOT block are joined this many at a time
+SLICE = 1 << 15
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -129,14 +132,17 @@ def lattice_json(lat: ConLattice, properties: bool = False) -> str:
     def names(mask):
         return "[" + ", ".join([quoted[v] for v in bits(mask)]) + "]"
 
-    elements = ", ".join([f'{{"H": {names(H)}, "W": {names(W)}}}'
-                          for H, W in lat.masks])
-    covers = ", ".join(map("[{}, {}]".format, lat.cover_from, lat.cover_to))
-    tail = f', "bottom": {lat.bottom}, "top": {lat.top}'
+    elements = (f'{{"H": {names(H)}, "W": {names(W)}}}' for H, W in lat.masks)
+    # each list's pieces end in the separator; the last is dropped
+    parts = [head[:-1], ', "elements": [',
+             *_in_slices(elements, lat.n, ", ")[:-1], '], "covers": [',
+             *_cover_slices(lat, [f"[{i}, " for i in range(lat.n)],
+                            [f"{j}]" for j in range(lat.n)], ", ")[:-1],
+             f'], "bottom": {lat.bottom}, "top": {lat.top}']
     if properties:
-        tail += ', "properties": ' + json.dumps(lattice_properties(lat))
-    return (f'{head[:-1]}, "elements": [{elements}], "covers": [{covers}]'
-            f'{tail}}}')
+        parts.append(', "properties": ' + json.dumps(lattice_properties(lat)))
+    parts.append("}")
+    return "".join(parts)
 
 
 def lattice_properties(lat: ConLattice) -> dict:
@@ -153,20 +159,41 @@ def lattice_properties(lat: ConLattice) -> dict:
 
 
 def lattice_dot(lat: ConLattice) -> str:
-    lines = ["digraph conlat {", "  rankdir=BT;", "  node [shape=box];"]
     # each label is the element's triple as repr prints it
     names = lat.graph.vertex_names
     braces = cache(lambda mask: dot_escape("{" + ",".join(names(mask)) + "}"))
-    for i, (H, W) in enumerate(lat.masks):
-        lines.append(f'  n{i} [label="({braces(H)}, {braces(W)}, ∅)"];')
-    lines += map("  n{} -> n{};".format, lat.cover_from, lat.cover_to)
+    labels = (f'  n{i} [label="({braces(H)}, {braces(W)}, ∅)"];'
+              for i, (H, W) in enumerate(lat.masks))
+    head = [f"n{j};" for j in range(lat.n)]
+    edges = _cover_slices(lat, [f"  n{i} -> " for i in range(lat.n)], head,
+                          "\n")
     # every chain from the bottom to an element has |H u W| steps, and the
     # elements are numbered by that size
     size = [(H | W).bit_count() for H, W in lat.masks]
-    for _, rank in groupby(range(lat.n), size.__getitem__):
-        lines.append("  {rank=same; " + "; ".join(f"n{i}" for i in rank) + ";}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    ranks = ["  {rank=same; " + " ".join(map(head.__getitem__, rank)) + "}\n"
+             for _, rank in groupby(range(lat.n), size.__getitem__)]
+    return "".join(["digraph conlat {\n  rankdir=BT;\n  node [shape=box];\n",
+                    *_in_slices(labels, lat.n, "\n"),
+                    *edges,
+                    *ranks, "}\n"])
+
+
+def _cover_slices(lat, tail, head, sep):
+    """_in_slices of the covers, cover (i, j) written tail[i] + head[j]:
+    the text of each index is formatted once, not once per cover."""
+    covers = map(add, map(tail.__getitem__, lat.cover_from),
+                 map(head.__getitem__, lat.cover_to))
+    return _in_slices(covers, len(lat.cover_from), sep)
+
+
+def _in_slices(strings, count, sep):
+    """The count strings of an iterator, each followed by sep, as pieces
+    that each join at most SLICE of them: no join holds one string per
+    element or cover of the whole lattice."""
+    pieces = []
+    for _ in range(0, count, SLICE):
+        pieces += (sep.join(islice(strings, SLICE)), sep)
+    return pieces
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -224,6 +251,9 @@ def cmd_check(args) -> int:
 
 def cmd_lattice(args) -> int:
     _require_cap("--cap", args.cap)
+    if args.dot == "-" and args.json:
+        raise ValueError("--dot - and --json both write to stdout; "
+                         "give --dot a file name")
     graph = parse_graph_file(args.path)
     if not graph.is_acyclic():
         print("error: graph has cycles, so its congruence lattice is "
@@ -231,6 +261,10 @@ def cmd_lattice(args) -> int:
               file=sys.stderr)
         return EXIT_INPUT
     lat = enumerate_lattice(graph, cap=args.cap)
+    if args.dot == "-":
+        # the DOT takes the place of the text summary
+        sys.stdout.write(lattice_dot(lat))
+        return EXIT_OK
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(lattice_dot(lat))
@@ -364,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="enumerate the full lattice (acyclic)")
     add_common(p)
-    p.add_argument("--dot", metavar="FILE", help="write a DOT Hasse diagram")
+    p.add_argument("--dot", metavar="FILE",
+                   help="write a DOT Hasse diagram (- for stdout)")
     p.add_argument("--properties", action="store_true",
                    help="include the lattice property summary")
     p.set_defaults(func=cmd_lattice)

@@ -15,14 +15,17 @@ from .graphs import CapExceeded, Digraph, bits
 from . import triples
 from .triples import WangTriple
 
-# A lattice keeps its covers as two int columns, and `lattice --json` is
-# written from them as text.  The laws of `--properties` read n-bit rows
-# of upper and lower covers, built when first read (the order rows too,
-# which no command reads), so memory grows as n squared only there.  On
-# the 39,936-element lattice of a 16-vertex DAG, on a shared 2-core
-# machine, `gislat lattice` takes 0.23–0.24 s at 47 MB peak RSS, `--json`
-# 0.35–0.37 s at 60 MB, `--dot` 0.40–0.42 s at 96 MB and `--json
-# --properties` 1.50–1.57 s at 297 MB; see CHANGES.md.
+# A lattice keeps its covers as two int columns, and `lattice --json` and
+# `--dot` write them as text from per-index string tables, joined in
+# bounded slices.  The laws of `--properties` read n-bit rows of upper and
+# lower covers, built when first read (the order rows too, which no
+# command reads), so memory grows as n squared only there.  On a shared
+# 2-core machine, on 9 disjoint edges with `--cap 300000` (262,144
+# elements, 2,359,296 covers), `gislat lattice` takes 1.40–1.54 s at
+# 268 MB peak RSS, `--json` 2.06–2.29 s at 268 MB and `--dot` 2.51–2.85 s
+# at 348 MB.  `--json --properties` takes 0.63–0.67 s at 74 MB on 7
+# disjoint edges (16,384 elements); on 9 its rows need gigabytes.  See
+# CHANGES.md.
 DEFAULT_LATTICE_CAP = 40_000
 
 

@@ -327,14 +327,14 @@ ESCAPED_NAMES = Digraph(['a"b', "c\\d", "é", "日本", "\x01"],
                         [(0, 1), (1, 2), (0, 3), (3, 4)])
 
 
-def test_rendering_from_masks_matches_rendering_from_triples(tmp_path,
-                                                             capsys):
+# 1,024 elements and 5,120 covers: indices of four digits
+PATH10 = Digraph([f"v{i}" for i in range(10)], list(zip(range(9), range(1, 10))))
+
+
+def assert_rendering_matches_triples(graphs_, tmp_path, capsys):
     """`lattice --json`, with and without --properties, prints the bytes
     json.dumps gives for the document built as a dict from the triples,
     and --dot writes the DOT rendered from the triples."""
-    graphs_ = (connected_simple_graphs(5) + acyclic_multigraphs(4, 5)
-               + [make_split_graph(), ESCAPED_NAMES])
-    assert any(g.has_parallel_edges() for g in graphs_)
     path = tmp_path / "g.graph"
     dot = tmp_path / "g.dot"
     for g in graphs_:
@@ -350,10 +350,52 @@ def test_rendering_from_masks_matches_rendering_from_triples(tmp_path,
         capsys.readouterr()
         assert dot.read_text(encoding="utf-8") == \
             oracles.lattice_dot_by_triples(lat), g
+
+
+def test_rendering_from_masks_matches_rendering_from_triples(tmp_path,
+                                                             capsys):
+    graphs_ = (connected_simple_graphs(5) + acyclic_multigraphs(4, 5)
+               + [make_split_graph(), ESCAPED_NAMES, PATH10])
+    assert any(g.has_parallel_edges() for g in graphs_)
+    assert_rendering_matches_triples(graphs_, tmp_path, capsys)
     # the top element names every vertex, each escaped as json.dumps does
     text = lattice_json(enumerate_lattice(ESCAPED_NAMES))
     assert ('{"H": ["a\\"b", "c\\\\d", "\\u00e9", "\\u65e5\\u672c", '
             '"\\u0001"], "W": []}], "covers"') in text
+
+
+def test_rendering_in_short_slices_matches_rendering_from_triples(
+        tmp_path, capsys, monkeypatch):
+    """Elements, covers and DOT lines joined three at a time: every
+    lattice of at least four elements crosses a slice boundary."""
+    monkeypatch.setattr(cli, "SLICE", 3)
+    graphs_ = connected_simple_graphs(5) + [ESCAPED_NAMES, PATH10]
+    assert_rendering_matches_triples(graphs_, tmp_path, capsys)
+
+
+def test_dot_to_stdout(tmp_path, capsys, monkeypatch):
+    """`--dot -` prints the DOT in place of the summary and writes no file
+    named -; the graph itself may come from stdin too."""
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
+    expected = lattice_dot(enumerate_lattice(make_split_graph()))
+    assert main(["lattice", path, "--dot", "-", "--properties"]) == 0
+    assert capsys.readouterr() == (expected, "")
+    monkeypatch.setattr("sys.stdin", io.StringIO(SPLIT_TEXT))
+    assert main(["lattice", "-", "--dot", "-"]) == 0
+    assert capsys.readouterr() == (expected, "")
+    assert not (tmp_path / "-").exists()
+
+
+def test_dot_to_stdout_with_json_is_an_input_error(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
+    assert main(["lattice", path, "--json", "--dot", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "--dot -" in err and "--json" in err
+    assert not (tmp_path / "-").exists()
 
 
 def test_dot_labels_escape_quotes_and_backslashes(tmp_path):
