@@ -254,6 +254,9 @@ def cmd_lattice(args) -> int:
     if args.dot == "-" and args.json:
         raise ValueError("--dot - and --json both write to stdout; "
                          "give --dot a file name")
+    if args.dot == "-" and args.properties:
+        raise ValueError("--dot - replaces the text summary, which prints "
+                         "--properties; give --dot a file name")
     graph = parse_graph_file(args.path)
     if not graph.is_acyclic():
         print("error: graph has cycles, so its congruence lattice is "

@@ -135,11 +135,10 @@ class ConLattice(FiniteLattice):
     cached; the result is looked up by its union and counts only if it
     has that element's masks, so a calculus that returns masks outside
     the lattice is caught, not read as the element with the same union.
-    The masks transposed into vertex columns, which the oracle's join and
-    meet pass reads, are built when first read, as are the triples in
-    elements, so a command that only renders the lattice, joins and
-    meets, or looks its generators up with element_indices builds no
-    triple; one that only renders it builds no cover row either.
+    The triples in elements are built when first read, so a command that
+    only renders the lattice, joins and meets, or looks its generators up
+    with element_indices builds no triple; one that only renders it
+    builds no cover row either.
     """
 
     def __init__(self, graph: Digraph, cap: int = DEFAULT_LATTICE_CAP):
@@ -189,20 +188,6 @@ class ConLattice(FiniteLattice):
     def elements(self):
         graph = self.graph
         return [WangTriple._proved(graph, H, W, {}) for H, W in self.masks]
-
-    @cached_property
-    def columns(self):
-        """The elements transposed, as vertex columns (HC, WC): bit j of
-        HC[v] is set when v is in H_j, and of WC[v] when v is in W_j.
-        triples.join_columns and meet_columns read them."""
-        HC, WC = [0] * self.graph.n, [0] * self.graph.n
-        for j, (H, W) in enumerate(self.masks):
-            b = 1 << j
-            for v in bits(H):
-                HC[v] |= b
-            for v in bits(W):
-                WC[v] |= b
-        return HC, WC
 
     def leq_idx(self, i, j) -> bool:
         """t_i <= t_j, read as U_i ⊆ U_j (see the class docstring), so no

@@ -638,16 +638,10 @@ def verify_isomorphism(graph: Digraph,
     bit by bit with lat.up[a], the lattice's order row, closed from its
     covers.  When the bijection checks pass, every realized partition is
     a congruence, so the seed-pair rows are the refinement order of all
-    of Con(S) exactly.  The lattice rows are reflexive and transitive, so
-    r is the join of i and j iff up[r] == up[i] & up[j]: r lies in both
-    rows, with every common element in its row; the meet is dual, on the
-    rows of lat.down.  Once the order matches, these are the joins and
-    meets of Con(S), and join_meet_failures checks the calculus's (H, W)
-    core against them in the lattice's vertex columns: each pair must get
-    the masks of the element whose row is the pair's AND, found by one
-    dict lookup.  A test holds that column form equal to the per-pair
-    triples.join_hw and meet_hw.  When the bijection checks fail, the
-    report fails anyway."""
+    of Con(S) exactly.  Once the order matches, the lattice's joins and
+    meets are those of Con(S), and join_meet_failures checks the
+    calculus's (H, W) core against them, as its docstring proves.  When
+    the bijection checks fail, the report fails anyway."""
     if table is None:
         table = build_semigroup(graph)
     elif table.graph != graph:
@@ -698,6 +692,19 @@ def verify_isomorphism(graph: Digraph,
                      failures=failures)
 
 
+def _columns(nv, masks, weights):
+    """The masks (H, W) transposed into nv vertex columns (HC, WC): each
+    weight is set in HC[v] for the vertices v of its H, and in WC[v] for
+    those of its W."""
+    HC, WC = [0] * nv, [0] * nv
+    for (H, W), b in zip(masks, weights):
+        for v in bits(H):
+            HC[v] |= b
+        for v in bits(W):
+            WC[v] |= b
+    return HC, WC
+
+
 def join_meet_failures(lat):
     """The join and meet mismatches of lat, a ConLattice: for each pair
     i <= j, by i and then j, a join mismatch when the calculus's (H, W)
@@ -705,8 +712,9 @@ def join_meet_failures(lat):
     likewise.
 
     1. The lattice's rows are reflexive and transitive, so r is the join
-       of i and j iff up[r] == up[i] & up[j], and the meet iff
-       down[r] == down[i] & down[j] (see verify_isomorphism).
+       of i and j iff up[r] == up[i] & up[j]: r lies in both rows, with
+       every common element in its row.  The meet is dual: r is the meet
+       iff down[r] == down[i] & down[j].
     2. A lattice's rows are distinct: two equal reflexive rows put each
        element below the other, and the order is antisymmetric.  So a
        dict from each row to its element names r with one lookup of the
@@ -716,43 +724,38 @@ def join_meet_failures(lat):
        the tests keep: look the calculus's masks up, and compare the row
        of what is found with the AND.
     4. So the columns want, with the j's of each r set at the vertices of
-       H_r and of W_r, must equal the columns triples.join_columns or
-       meet_columns give for i and every j at once.  Each j where they
-       differ, or with no r, is one mismatch.
+       H_r and of W_r, must equal the join's or the meet's columns that
+       triples.join_meet_columns gives for i and every j at once.  Each j
+       where they differ, or with no r, is one mismatch.
 
     Should a corrupted order repeat a row, the dict names the lowest
     element with it.  The order check fails such an order anyway: the
     realized congruences are ordered by refinement, which is
     antisymmetric."""
     graph, masks, n = lat.graph, lat.masks, lat.n
-    HC, WC = lat.columns
+    nv = graph.n
+    HC, WC = _columns(nv, masks, [1 << j for j in range(n)])
     ones = (1 << n) - 1
     passes = []
-    for columns, rows in ((_triples.join_columns, lat.up),
-                          (_triples.meet_columns, lat.down)):
+    for rows in (lat.up, lat.down):
         named = {}  # each row to the lowest element with it
         for r, row in enumerate(rows):
             named.setdefault(row, r)
-        passes.append((columns, rows, named.get))
+        passes.append((rows, named.get))
     failures = []
     for i in range(n):
         bad = []
-        for columns, rows, name in passes:
-            got_H, got_W = columns(graph, *masks[i], HC, WC, ones)
-            want_H, want_W = [0] * graph.n, [0] * graph.n
+        halves = _triples.join_meet_columns(graph, *masks[i], HC, WC, ones)
+        for (got_H, got_W), (rows, name) in zip(halves, passes):
             groups = {}  # each bound r to the mask of its j's, -1 for none
             get = groups.get
             for j, a in enumerate(map(rows[i].__and__, rows[i:]), i):
                 r = name(a, -1)
                 groups[r] = get(r, 0) | 1 << j
             diff = groups.pop(-1, 0)
-            for r, js in groups.items():
-                H, W = masks[r]
-                for v in bits(H):
-                    want_H[v] |= js
-                for v in bits(W):
-                    want_W[v] |= js
-            for v in range(graph.n):
+            want_H, want_W = _columns(nv, map(masks.__getitem__, groups),
+                                      groups.values())
+            for v in range(nv):
                 diff |= got_H[v] ^ want_H[v] | got_W[v] ^ want_W[v]
             bad.append(diff >> i << i)  # the j >= i
         join_bad, meet_bad = bad

@@ -379,7 +379,7 @@ def test_dot_to_stdout(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
     expected = lattice_dot(enumerate_lattice(make_split_graph()))
-    assert main(["lattice", path, "--dot", "-", "--properties"]) == 0
+    assert main(["lattice", path, "--dot", "-"]) == 0
     assert capsys.readouterr() == (expected, "")
     monkeypatch.setattr("sys.stdin", io.StringIO(SPLIT_TEXT))
     assert main(["lattice", "-", "--dot", "-"]) == 0
@@ -395,6 +395,21 @@ def test_dot_to_stdout_with_json_is_an_input_error(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "--dot -" in err and "--json" in err
+    assert not (tmp_path / "-").exists()
+
+
+def test_dot_to_stdout_with_properties_is_an_input_error(tmp_path, capsys,
+                                                         monkeypatch):
+    """--dot - takes the place of the text summary, which is where the
+    properties are printed, so asking for both is refused, not answered
+    with the DOT alone."""
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, "split_graph.graph", SPLIT_TEXT)
+    assert main(["lattice", path, "--properties", "--dot", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (err.startswith("error: ") and "--dot -" in err
+            and "--properties" in err)
     assert not (tmp_path / "-").exists()
 
 

@@ -390,24 +390,28 @@ def inject(monkeypatch, lat, what, i, j, hw):
     """Make the calculus's (H, W) join or meet (what) answer the masks hw
     for the elements i <= j, and every other pair as before: in
     triples.join_hw or meet_hw, which lat.join_idx and meet_idx and the
-    per-pair reference read, and in column j of triples.join_columns or
-    meet_columns run for element i, which the oracle reads."""
+    per-pair reference read, and in column j of the join's or the meet's
+    half of triples.join_meet_columns run for element i, which the oracle
+    reads."""
     pair = (*lat.masks[i], *lat.masks[j])
     real_hw = getattr(oracle._triples, f"{what}_hw")
     monkeypatch.setattr(
         oracle._triples, f"{what}_hw",
         lambda graph, *hw2: hw if hw2 == pair else real_hw(graph, *hw2))
-    real_columns = getattr(oracle._triples, f"{what}_columns")
+    real_columns = oracle._triples.join_meet_columns
+    half = ("join", "meet").index(what)
 
     def columns(graph, H1, W1, *rest):
-        H, W = real_columns(graph, H1, W1, *rest)
+        halves = list(real_columns(graph, H1, W1, *rest))
         if (H1, W1) == lat.masks[i]:
             bit = 1 << j
+            H, W = halves[half]
             H = [h & ~bit | (hw[0] >> v & 1) << j for v, h in enumerate(H)]
             W = [w & ~bit | (hw[1] >> v & 1) << j for v, w in enumerate(W)]
-        return H, W
+            halves[half] = H, W
+        return tuple(halves)
 
-    monkeypatch.setattr(oracle._triples, f"{what}_columns", columns)
+    monkeypatch.setattr(oracle._triples, "join_meet_columns", columns)
 
 
 def agrees_with_pairs(lat):

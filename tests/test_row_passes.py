@@ -33,19 +33,20 @@ def column(cols, j):
 
 
 def test_join_and_meet_columns_match_the_per_pair_core():
-    """Column j of join_columns and meet_columns, run for element i, is
-    join_hw and meet_hw of elements i and j, on every ordered pair of the
-    lattices of acyclic_multigraphs(4, 5), the connected census graphs up
-    to 5 vertices and the criterion-02 sweep."""
+    """Column j of the join and of the meet that join_meet_columns gives,
+    run for element i, is join_hw and meet_hw of elements i and j, on
+    every ordered pair of the lattices of acyclic_multigraphs(4, 5), the
+    connected census graphs up to 5 vertices and the criterion-02
+    sweep."""
     pairs = 0
     for g in (acyclic_multigraphs(4, 5) + connected_simple_graphs(5)
               + sweep_graphs()):
         lat = enumerate_lattice(g)
-        HC, WC = lat.columns
+        HC, WC = oracle._columns(g.n, lat.masks,
+                                 [1 << j for j in range(lat.n)])
         ones = (1 << lat.n) - 1
         for H1, W1 in lat.masks:
-            joins = triples.join_columns(g, H1, W1, HC, WC, ones)
-            meets = triples.meet_columns(g, H1, W1, HC, WC, ones)
+            joins, meets = triples.join_meet_columns(g, H1, W1, HC, WC, ones)
             for j, (H2, W2) in enumerate(lat.masks):
                 assert (column(joins[0], j), column(joins[1], j)) == \
                     triples.join_hw(g, H1, W1, H2, W2), (g, H1, W1, H2, W2)
