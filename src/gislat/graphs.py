@@ -205,17 +205,18 @@ class Digraph:
         return list(self._hereditary)
 
     def is_downward_directed(self, H: int) -> bool:
-        """Is H nonempty with a common lower bound in H for every pair?"""
-        if H == 0:
-            return False
-        vs = list(bits(H))
-        reach = self.reach
-        for i, u in enumerate(vs):
-            ru = reach[u] & H
-            for v in vs[i + 1:]:
-                if not ru & reach[v]:
-                    return False
-        return True
+        """Is H nonempty with a common lower bound in H for every pair?
+
+        Decided as one AND: H and the reach row of every vertex of H share
+        a vertex.  The AND starts from H, as a row also holds vertices
+        outside H.  A common lower bound of all of H bounds every pair.
+        Conversely, in a finite preorder pairwise lower bounds compose: a
+        lower bound w of v1..vk and a lower bound of the pair (w, vk+1)
+        is, by transitivity, one of v1..vk+1.  An empty H gives 0."""
+        common = H
+        for v in bits(H):
+            common &= self.reach[v]
+        return common != 0
 
     def strongly_connected_components(self):
         """Partition of the vertices into maximal mutually-reachable classes,
@@ -320,25 +321,27 @@ class Digraph:
 
     # -- forked vertices ---------------------------------------------------------
 
+    def lone_ranges(self, v: int) -> int:
+        """The ranges r of v that one edge of v reaches and no other range
+        of v reaches: once[v] minus the OR over the ranges u of v of
+        reach[u] without u itself.  For u = r the term drops r; for u != r
+        it holds r iff u reaches r.  A range two edges reach is not in
+        once[v], so a range reached twice never counts."""
+        reach = self.reach
+        others = 0
+        for u in bits(self.succ[v]):
+            others |= reach[u] & ~(1 << u)
+        return self.once[v] & ~others
+
     def forked_vertices(self) -> int:
         """Vertices with two out-edges whose ranges are inaccessible from the
-        ranges of every other co-initial edge, as a bitmask."""
+        ranges of every other co-initial edge, as a bitmask: the vertices
+        with two or more lone ranges."""
         if self._forked is None:
-            self._set("_forked", self._find_forked())
+            self._set("_forked", mask_of(
+                v for v in range(self.n)
+                if self.lone_ranges(v).bit_count() >= 2))
         return self._forked
-
-    def _find_forked(self) -> int:
-        """A range of v counts once it is in once[v] and no other range in
-        succ[v] reaches it; a range two edges reach reaches itself, so it
-        never counts.  v is forked when two ranges count."""
-        forked = 0
-        reach = self.reach
-        for v, (succ, once) in enumerate(zip(self.succ, self.once)):
-            lone = [r for r in bits(once) if not any(
-                reach[u] >> r & 1 for u in bits(succ & ~(1 << r)))]
-            if len(lone) >= 2:
-                forked |= 1 << v
-        return forked
 
     # -- paths -------------------------------------------------------------------
 

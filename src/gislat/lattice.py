@@ -326,15 +326,20 @@ def predicate_lower_semimodular(graph: Digraph) -> bool:
 
 
 def predicate_condition_iv(graph: Digraph) -> bool:
-    """For simple graphs: co-initial edges always have comparable ranges."""
+    """For simple graphs: co-initial edges always have comparable ranges.
+
+    Each vertex's ranges are sorted by the size of their reach rows, and
+    each must reach the one before it.  On an acyclic graph a range that
+    reaches another has the strictly larger row, so pairwise comparable
+    ranges sort into their chain, and two ranges with rows of one size are
+    incomparable.  Conversely, reaching is transitive along the chain."""
     if not graph.is_simple():
         raise ValueError("requires a simple graph (acyclic, no parallel edges)")
-    for v in range(graph.n):
-        ranges = list(bits(graph.succ[v]))
-        for i, ri in enumerate(ranges):
-            for rj in ranges[i + 1:]:
-                if not (graph.geq(ri, rj) or graph.geq(rj, ri)):
-                    return False
+    reach = graph.reach
+    for succ in graph.succ:
+        ranges = sorted(bits(succ), key=lambda r: reach[r].bit_count())
+        if not all(reach[b] >> a & 1 for a, b in zip(ranges, ranges[1:])):
+            return False
     return True
 
 
@@ -371,11 +376,14 @@ def minimal_generating_set(graph: Digraph):
     Each is built by WangTriple._proved, valid as it stands on the simple,
     so acyclic, graph, where every cycle function is empty.  ({v}, ∅) for
     a sink v: nothing leaves v, so {v} is hereditary.  (H, {v}) for a
-    range r in once[v]: H, the hereditary closure of v's other ranges, is
-    hereditary; it misses v, as no range of v reaches v on an acyclic
-    graph; and it holds every range of v but r, which it misses by the
-    test and which one edge of v reaches, so v keeps exactly one out-edge
-    outside H and lies in eligible(H)."""
+    lone range r of v (Digraph.lone_ranges): H, the hereditary closure of
+    v's other ranges, is hereditary; it misses v, as no range of v reaches
+    v on an acyclic graph; and it holds every range of v but r, which no
+    other range reaches and which one edge of v reaches, so v keeps
+    exactly one out-edge outside H and lies in eligible(H).  On a simple
+    graph once[v] is succ[v], so a range r misses its H exactly when it
+    is lone.  No such H contains another: for lone r != s, H_s holds r
+    and H_r misses it."""
     if not graph.is_simple():
         raise ValueError("requires a simple graph (acyclic, no parallel edges)")
     gens = []
@@ -383,16 +391,9 @@ def minimal_generating_set(graph: Digraph):
         if not succ:
             gens.append(WangTriple._proved(graph, 1 << v, 0, {}))
     for v, succ in enumerate(graph.succ):
-        if not succ:
-            continue
-        cands = set()
-        for r in bits(graph.once[v]):
-            H = graph.hereditary_closure(succ & ~(1 << r))
-            if not H >> r & 1:
-                cands.add(H)
-        for H in sorted(cands):
-            if not any(other != H and other & ~H == 0 for other in cands):
-                gens.append(WangTriple._proved(graph, H, 1 << v, {}))
+        for H in sorted(graph.hereditary_closure(succ & ~(1 << r))
+                        for r in bits(graph.lone_ranges(v))):
+            gens.append(WangTriple._proved(graph, H, 1 << v, {}))
     return gens
 
 

@@ -514,12 +514,12 @@ def join_irreducible_congruences(table: MulTable, principals):
 
 
 def enumerate_congruences(table: MulTable):
-    """Every congruence exactly once, sorted: the diagonal and the
-    join-irreducible congruences, closed under joining with a
-    join-irreducible congruence.  The table's size was capped where it was
-    built; the count of congruences is capped at CONGRUENCE_CAP, and the
-    distinct principal congruences with the diagonal count towards it
-    before the join-irreducibles are sought among them.
+    """Every congruence exactly once, sorted: the diagonal, closed under
+    joining with a join-irreducible congruence.  The table's size was
+    capped where it was built; the count of congruences is capped at
+    CONGRUENCE_CAP, and the distinct principal congruences with the
+    diagonal count towards it before the join-irreducibles are sought
+    among them.
 
     In a finite lattice every element is the join of the join-irreducibles
     below it, so every congruence theta is J1 v ... v Jk over the
@@ -539,7 +539,9 @@ def enumerate_congruences(table: MulTable):
     Jk over D(theta) + {i}, which depends on that set only.  So each join
     is remembered under the mask D(theta) + {i}, and every congruence
     found under its own D-mask, and a mask met again is read, not closed.
-    The cap counts distinct congruences, not masks."""
+    The search starts from the diagonal alone: its join with Ji is one
+    step that reads the principal search's array and closes nothing.  The
+    cap counts distinct congruences, not masks."""
     cap = CONGRUENCE_CAP
     principals = principal_congruences(table)
     if len(principals) + 1 > cap:
@@ -561,12 +563,9 @@ def enumerate_congruences(table: MulTable):
         return d
 
     found = {0: mask(0)}
-    for q in irreducibles:
-        c = store.index[q]
-        found[c] = mask(c)
-    frontier = list(found)
+    frontier = [0]
     while frontier:
-        # every congruence found, the seeds too, waits here to be counted
+        # every congruence found waits here to be counted
         if len(found) > cap:
             raise CapExceeded("congruences", len(found), cap)
         c = frontier.pop()

@@ -87,6 +87,44 @@ MUTANTS = [
            "_roots skips normalising, so a stored congruence is a parent "
            "list whose entries need not be their block's least member, "
            "and one partition can be stored twice"),
+    Mutant("src/gislat/graphs.py",
+           "others |= reach[u] & ~(1 << u)",
+           "others |= reach[u]",
+           "tests/test_graphs.py::test_masks_match_edge_by_edge_counts",
+           "each range reaches itself, so every range lands in others and "
+           "no vertex has a lone range or is forked"),
+    Mutant("src/gislat/graphs.py",
+           "return self.once[v] & ~others",
+           "return self.succ[v] & ~others",
+           "tests/test_graphs.py::test_masks_match_edge_by_edge_counts",
+           "a range two parallel edges reach counts as lone, so a vertex "
+           "with parallel edges into two sinks is called forked"),
+    Mutant("src/gislat/graphs.py",
+           "return common != 0",
+           "return common == H",
+           "tests/test_graphs.py::test_is_downward_directed",
+           "H must lie below each of its vertices, so {a, b, c} on the "
+           "split graph, whose common lower bound is c alone, is refused"),
+    Mutant("src/gislat/lattice.py",
+           "if not all(reach[b] >> a & 1 for a, b in",
+           "if not all(reach[a] >> b & 1 for a, b in",
+           "tests/test_lattice.py::test_condition_iv",
+           "each range must reach the larger one after it, which on an "
+           "acyclic graph it never does, so a vertex with two comparable "
+           "ranges fails"),
+    Mutant("src/gislat/lattice.py",
+           "ranges = sorted(bits(succ), key=lambda r: reach[r].bit_count())",
+           "ranges = list(bits(succ))",
+           "tests/test_lattice.py::test_condition_iv",
+           "the ranges stay in vertex order, so a -> b, a -> c, b -> c "
+           "asks c to reach b and fails condition (iv)"),
+    Mutant("src/gislat/lattice.py",
+           "for r in bits(graph.lone_ranges(v))):",
+           "for r in bits(graph.once[v])):",
+           "tests/test_lattice.py::"
+           "test_minimal_generating_set_matches_brute_force",
+           "a range another range reaches lies in its own H, which then "
+           "leaves v no out-edge, yet (H, {v}) joins the generators"),
     Mutant("src/gislat/cli.py",
            "sep.join(islice(strings, SLICE))",
            "sep.join(islice(strings, SLICE - 1))",

@@ -18,8 +18,12 @@ census canonical form over all n! vertex permutations, which colour
 refinement replaced, the atomistic graph predicate over the cycle list,
 which reachability replaced, and the out-edge counts taken edge by edge,
 which the range masks Digraph.succ and Digraph.once replaced: the
-surviving out-degree out_degree_minus, the forked vertices
-forked_by_edges, and the calculus's dead-end and J steps.  Then come the
+surviving out-degree out_degree_minus, the lone ranges and forked
+vertices lone_ranges_by_edges and forked_by_edges, and the calculus's
+dead-end and J steps.  Next to them are the tests over every pair of
+vertices of H, or of ranges of one vertex, that one AND over H and one
+sorted pass over the ranges replaced: downward_directed_by_pairs and
+condition_iv_by_pairs.  Then come the
 triple order and cover shapes over every cycle of the graph, which reading
 the stored cycle values replaced; the H-growing cover shape there also
 walks every hereditary set between H1 and H2, the interval enumeration
@@ -512,18 +516,48 @@ def out_degree_minus(g, v, H) -> int:
     return sum(1 for e in g.out_edges[v] if not H >> g.edges[e][1] & 1)
 
 
+def lone_ranges_by_edges(g, v) -> int:
+    """Test oracle for Digraph.lone_ranges: the ranges of v's out-edges
+    that the range of no other out-edge of v reaches, edge by edge."""
+    ranges = [g.edges[e][1] for e in g.out_edges[v]]
+    return mask_of(ri for i, ri in enumerate(ranges)
+                   if all(not g.reach[rj] >> ri & 1
+                          for j, rj in enumerate(ranges) if j != i))
+
+
 def forked_by_edges(g) -> int:
     """Test oracle for Digraph.forked_vertices: the vertices with two
     out-edges whose ranges no other co-initial edge's range reaches."""
-    forked = 0
+    return mask_of(v for v in range(g.n)
+                   if lone_ranges_by_edges(g, v).bit_count() >= 2)
+
+
+def downward_directed_by_pairs(g, H) -> bool:
+    """Reference for Digraph.is_downward_directed, which decides it by one
+    AND over H: is H nonempty, with a common lower bound in H for every
+    pair of its vertices?"""
+    if H == 0:
+        return False
+    vs = list(bits(H))
+    for i, u in enumerate(vs):
+        ru = g.reach[u] & H
+        for v in vs[i + 1:]:
+            if not ru & g.reach[v]:
+                return False
+    return True
+
+
+def condition_iv_by_pairs(g) -> bool:
+    """Reference for lattice.predicate_condition_iv, which walks each
+    vertex's ranges sorted by reach: do every two ranges of one vertex
+    compare, one reaching the other?"""
     for v in range(g.n):
-        ranges = [g.edges[e][1] for e in g.out_edges[v]]
-        hits = sum(1 for i, ri in enumerate(ranges)
-                   if all(not g.reach[rj] >> ri & 1
-                          for j, rj in enumerate(ranges) if j != i))
-        if hits >= 2:
-            forked |= 1 << v
-    return forked
+        ranges = list(bits(g.succ[v]))
+        for i, ri in enumerate(ranges):
+            for rj in ranges[i + 1:]:
+                if not (g.geq(ri, rj) or g.geq(rj, ri)):
+                    return False
+    return True
 
 
 def dead_ends_by_edges(t1, t2):

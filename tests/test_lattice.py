@@ -252,6 +252,30 @@ def test_minimal_generating_set_matches_brute_force():
         assert set(minimal_generating_set(g)) == set(brute_force_type_congruences(g))
 
 
+def test_vertex_conditions_match_the_pairwise_references():
+    """Condition (iv), the forked vertices and the generating set agree
+    with the pairwise references and the search over hereditary sets, on
+    every simple graph up to 6 vertices and on 300 seeded DAGs on up to 12
+    vertices."""
+    rnd = random.Random(71)
+    dags = []
+    for _ in range(300):
+        n = rnd.randint(2, 12)
+        p = rnd.uniform(0.1, 0.5)
+        dags.append(Digraph(range(n), [(i, j) for i in range(n)
+                                       for j in range(i + 1, n)
+                                       if rnd.random() < p]))
+    seen = set()
+    for g in [g for n in range(1, 7) for g in simple_graphs(n)] + dags:
+        iv = predicate_condition_iv(g)
+        assert iv == oracles.condition_iv_by_pairs(g), g
+        assert g.forked_vertices() == oracles.forked_by_edges(g), g
+        assert (set(minimal_generating_set(g))
+                == set(brute_force_type_congruences(g))), g
+        seen.add(iv)
+    assert seen == {True, False}
+
+
 def random_connected_dags(count, seed):
     """Seeded weakly connected DAGs on 6 or 7 vertices."""
     rnd = random.Random(seed)
